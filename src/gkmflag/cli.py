@@ -9,8 +9,6 @@ identity failed, 2 usage error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
 from . import classes as cls_mod

@@ -4,13 +4,20 @@ All documents are deterministic: entries are ordered by (length, word) and
 JSON is dumped with sorted keys, so identical jobs produce identical bytes.
 Scalars are always symbolic (exact rationals attached to exponent data);
 nothing is ever rendered through floating point.
+
+JSON layout: exactly ``json.dumps(doc, indent=1, sort_keys=True)`` plus a
+trailing newline: non-ASCII characters as ``\\uXXXX`` escapes, one item per
+line indented one space per level, ``","`` ending an item and ``": "`` after
+a key, empty containers as ``[]`` and ``{}``.  ``tests/test_io.py`` pins the
+bytes.  ``dumps_json`` writes that layout itself rather than calling
+``json.dumps``, because with ``indent`` set ``json`` does not use its C
+encoder, and its pure-Python path dominated the cost of exporting a table.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
+from json.encoder import encode_basestring_ascii as _escape
 
 from .model import H, LocalizedClass, flag_space
 from .roots import parse_word, word_str
@@ -172,11 +179,12 @@ def latex_fraction(f):
 
 
 def table_to_csv(doc):
+    space = space_from_json(doc["space"])
+    rank = space.rs.rank
     lines = ["class,point,value"]
     for entry in doc["entries"]:
-        space = space_from_json(doc["space"])
         for item in entry["values"]:
-            frac = fraction_from_json(item["value"], doc["theory"], space.rs.rank)
+            frac = fraction_from_json(item["value"], doc["theory"], rank)
             lines.append(
                 '%s,%s,"%s"' % (entry["label"], item["label"], render_fraction(frac))
             )
@@ -226,13 +234,118 @@ def matrix_to_latex(doc):
 
 
 def dumps_json(doc):
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=1, sort_keys=True) + "\\n"``, byte for byte.
+
+    Values may be str, int, bool, None, dict (str keys only), list or tuple;
+    anything else raises TypeError.
+    """
+    out = []
+    _write(doc, out, [None], 0)  # frags[d] serves items at depth d >= 1
+    out.append("\n")
+    return "".join(out)
+
+
+_int_repr = int.__repr__
+
+
+def _fragments(depth):
+    """(list open, dict open, item separator, list close, dict close) for the
+    items at ``depth`` >= 1; built once per depth and document."""
+    nl = "\n" + " " * depth
+    outer = nl[:-1]
+    return ("[" + nl, "{" + nl, "," + nl, outer + "]", outer + "}")
+
+
+def _write(o, out, frags, depth):
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(_int_repr(o))
+    elif isinstance(o, dict):
+        _write_dict(o, out, frags, depth)
+    elif isinstance(o, (list, tuple)):
+        _write_list(o, out, frags, depth)
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
+# The container writers handle the common item types inline, sparing a call
+# per leaf.  Every item is preceded by the separator; the first separator is
+# then overwritten with the opening bracket.
+
+def _write_list(lst, out, frags, depth):
+    if not lst:
+        out.append("[]")
+        return
+    depth += 1
+    if depth == len(frags):
+        frags.append(_fragments(depth))
+    lopen, _, sep, lclose, _ = frags[depth]
+    start = len(out)
+    for v in lst:
+        out.append(sep)
+        t = type(v)
+        if t is str:
+            out.append(_escape(v))
+        elif t is int:
+            out.append(_int_repr(v))
+        elif t is dict:
+            _write_dict(v, out, frags, depth)
+        elif t is list:
+            _write_list(v, out, frags, depth)
+        else:
+            _write(v, out, frags, depth)
+    out[start] = lopen
+    out.append(lclose)
+
+
+def _write_dict(d, out, frags, depth):
+    if not d:
+        out.append("{}")
+        return
+    depth += 1
+    if depth == len(frags):
+        frags.append(_fragments(depth))
+    _, dopen, sep, _, dclose = frags[depth]
+    start = len(out)
+    for k in sorted(d):
+        if not isinstance(k, str):
+            raise TypeError("keys must be str, not %s" % type(k).__name__)
+        out.append(sep)
+        out.append(_escape(k))
+        out.append(": ")
+        v = d[k]
+        t = type(v)
+        if t is str:
+            out.append(_escape(v))
+        elif t is int:
+            out.append(_int_repr(v))
+        elif t is dict:
+            _write_dict(v, out, frags, depth)
+        elif t is list:
+            _write_list(v, out, frags, depth)
+        else:
+            _write(v, out, frags, depth)
+    out[start] = dopen
+    out.append(dclose)
 
 
 def write_atomic(path, text):
-    """Write the output file in one atomic rename."""
+    """Write the output file in one atomic rename.
+
+    The temporary file is created with mode 0o666, as ``open(path, "w")``
+    creates files, so the umask gives the output its usual mode
+    (``tempfile.mkstemp`` would leave it at 0o600).
+    """
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".gkmflag-")
+    tmp = os.path.join(d, ".gkmflag-%s.tmp" % os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -64,6 +65,23 @@ def test_round_trip_classes(tmp_path):
         from gkmflag.roots import word_str
 
         assert table[word_str(w.word)] == expected[w]
+
+
+def test_out_file_mode_matches_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        rc, _ = run(tmp_path, "classes", "--type", "A", "--rank", "1", "--family", "csm")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert rc == 0
+
+    def mode(name):
+        return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+    assert mode("out.txt") == mode("plain.txt") == 0o644
+    assert sorted(os.listdir(tmp_path)) == ["out.txt", "plain.txt"]
 
 
 def test_output_determinism(tmp_path):
