@@ -19,24 +19,23 @@ constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import (
     H,
     K,
     LocalizedClass,
+    _recursive_table,
+    _w0_twist,
     ambient_class,
     fixed_point_class,
-    flag_space,
     gkm_check,
-    integrate,
     pair,
     pullback_parabolic,
     pushforward_parabolic,
-    schubert_class,
 )
 from .operators import (
     VerificationReport,
+    _each_iw,
     _space_label,
     apply_word_inverse_dl_right,
     dl_left,
@@ -45,7 +44,7 @@ from .operators import (
     weyl_left,
 )
 from .roots import word_str
-from .scalars import CohScalar, KScalar, ScalarFraction, weyl_act_scalar
+from .scalars import CohScalar, KScalar, ScalarFraction
 
 FAMILIES = ("csm", "sm", "mc", "smc")
 
@@ -92,16 +91,13 @@ def smc_cell(space, w, side="Bminus"):
 
 
 def _build(space, family, side):
-    theory = H if family in ("csm", "sm") else K
-    if family in ("sm",):
+    if family == "sm":
         csm = cell_family(space, "csm", side).table
         amb = ambient_class(space, H)
         return {w: _pointwise_div(c, amb) for w, c in csm.items()}
     if family == "smc":
         if side == "B":
-            w0 = space.rs.longest_element
-            minus = cell_family(space, "smc", "Bminus").table
-            return {w: weyl_left(w0, minus[space.rep(w0 * w)]) for w in space.points}
+            return _w0_twist(space, cell_family(space, "smc", "Bminus").table)
         if space.is_full_flag:
             # inverse-word closed form; the dual-basis solve on the full
             # flag space is quadratic-blowup territory, so it is kept as a
@@ -109,23 +105,11 @@ def _build(space, family, side):
             return _smc_closed_form(space)
         mc = cell_family(space, "mc", "B").table
         return _dual_basis_solve(space, mc)
-    # csm and mc cell classes
-    if side == "Bminus":
-        w0 = space.rs.longest_element
-        bside = cell_family(space, family, "B").table
-        return {w: weyl_left(w0, bside[space.rep(w0 * w)]) for w in space.points}
-    if not space.is_full_flag:
-        full = space.full_flag()
-        ftab = cell_family(full, family, "B").table
-        return {w: pushforward_parabolic(ftab[w], space) for w in space.points}
-    table = {}
-    for w in space.points:  # by length, so the recursion sees shorter cells
-        if w.length == 0:
-            table[w] = fixed_point_class(space, theory, w)
-        else:
-            i = w.word[-1]
-            table[w] = dl_right(i, table[w * space.rs.simple(i)])
-    return table
+    # csm and mc cell classes: right DL words from the point class
+    theory = H if family == "csm" else K
+    return _recursive_table(
+        space, theory, side, dl_right, lambda sp, sd: cell_family(sp, family, sd).table
+    )
 
 
 def _pointwise_div(a, b):
@@ -223,10 +207,6 @@ def homogenize_csm(a):
 # the theorem suite
 # ---------------------------------------------------------------------------
 
-def _scale_poly(space, c):
-    return ScalarFraction.from_scalar(c)
-
-
 def verify_class_theorems(space, kinds=("csm", "motivic"), corrupt=False):
     """Exhaustive verification of the characteristic-class theorems.
 
@@ -255,15 +235,7 @@ def _verify_csm(space, rep):
     if space.is_full_flag:
         rep.check(
             "right DL recursion on csm cells",
-            (
-                (
-                    "i=%d w=%s" % (i, word_str(w.word)),
-                    dl_right(i, csm[w]),
-                    csm[w * rs.simple(i)],
-                )
-                for i in idx
-                for w in pts
-            ),
+            _each_iw(space, lambda i, w: (dl_right(i, csm[w]), csm[w * rs.simple(i)])),
         )
         rep.check(
             "dual right DL on Segre-MacPherson cells (both sides)",
@@ -385,31 +357,20 @@ def _verify_csm(space, rep):
         ),
     )
 
-    def homog_action():
-        for i in idx:
-            si = rs.simple(i)
-            alpha = CohScalar.linear_form(rs.simple_root(i))
-            den = ScalarFraction.from_scalar(alpha + hbar)
-            c_h = ScalarFraction.from_scalar(hbar) / den
-            c_a = ScalarFraction.from_scalar(alpha) / den
-            for w in pts:
-                t = space.rep(si * w)
-                lhs = weyl_left(si, ch[w])
-                rhs = ch[w].scale(c_h) + ch[t].scale(c_a)
-                yield ("i=%d w=%s" % (i, word_str(w.word)), lhs, rhs)
-    rep.check("left Weyl action on homogenized csm cells", homog_action())
+    coeffs = {}  # i -> (hbar, alpha_i) / (alpha_i + hbar)
+    for i in idx:
+        alpha = CohScalar.linear_form(rs.simple_root(i))
+        den = ScalarFraction.from_scalar(alpha + hbar)
+        coeffs[i] = (ScalarFraction.from_scalar(hbar) / den, ScalarFraction.from_scalar(alpha) / den)
 
+    def homog_action(i, w):
+        si = rs.simple(i)
+        c_h, c_a = coeffs[i]
+        return weyl_left(si, ch[w]), ch[w].scale(c_h) + ch[space.rep(si * w)].scale(c_a)
+    rep.check("left Weyl action on homogenized csm cells", _each_iw(space, homog_action))
     rep.check(
         "homogenized left DL recursion",
-        (
-            (
-                "i=%d w=%s" % (i, word_str(w.word)),
-                dl_left_homogenized(i, ch[w]),
-                ch[space.rep(rs.simple(i) * w)],
-            )
-            for i in idx
-            for w in pts
-        ),
+        _each_iw(space, lambda i, w: (dl_left_homogenized(i, ch[w]), ch[space.rep(rs.simple(i) * w)])),
     )
 
 
@@ -540,33 +501,23 @@ def _verify_motivic(space, rep, corrupt=False):
     )
 
     # left DL on motivic cells, with the (-y) power on the folding branch
-    def ldl():
-        for i in idx:
-            si = rs.simple(i)
-            for w in pts:
-                siw = si * w
-                t = space.rep(siw)
-                lhs = dl_left(i, mc[w])
-                if siw.length > w.length:
-                    rhs = mc[t].scale(braid_factor(siw.length - t.length))
-                else:
-                    rhs = -(mc[w].scale(one_plus_y)) - mc[t].scale(y)
-                yield ("i=%d w=%s" % (i, word_str(w.word)), lhs, rhs)
-    rep.check("left DL on motivic cells, with (-y) fold factor", ldl())
+    def ldl(i, w):
+        siw = rs.simple(i) * w
+        t = space.rep(siw)
+        lhs = dl_left(i, mc[w])
+        if siw.length > w.length:
+            return lhs, mc[t].scale(braid_factor(siw.length - t.length))
+        return lhs, -(mc[w].scale(one_plus_y)) - mc[t].scale(y)
+    rep.check("left DL on motivic cells, with (-y) fold factor", _each_iw(space, ldl))
 
-    def ldl_dual():
-        for i in idx:
-            si = rs.simple(i)
-            for w in pts:
-                siw = si * w
-                t = space.rep(siw)
-                lhs = dl_left(i, smc_op[w], dual=True)
-                if siw.length > w.length:
-                    rhs = smc_op[t].scale(neg_y)
-                else:
-                    rhs = -(smc_op[w].scale(one_plus_y)) + smc_op[t]
-                yield ("i=%d w=%s" % (i, word_str(w.word)), lhs, rhs)
-    rep.check("dual left DL on Segre motivic opposite cells", ldl_dual())
+    def ldl_dual(i, w):
+        siw = rs.simple(i) * w
+        t = space.rep(siw)
+        lhs = dl_left(i, smc_op[w], dual=True)
+        if siw.length > w.length:
+            return lhs, smc_op[t].scale(neg_y)
+        return lhs, -(smc_op[w].scale(one_plus_y)) + smc_op[t]
+    rep.check("dual left DL on Segre motivic opposite cells", _each_iw(space, ldl_dual))
 
     total = LocalizedClass.zero(space, K)
     for w in pts:

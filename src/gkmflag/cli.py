@@ -19,7 +19,7 @@ from .operators import NonDivisibilityError
 
 
 FAMILY_INFO = {
-    # family: (theory, default side, producer)
+    # family: (theory, default side)
     "csm": (H, "B"),
     "sm": (H, "B"),
     "mc": (K, "B"),
@@ -64,11 +64,18 @@ def _family_table(space, family, side):
     side = side or default_side
     if side not in ("B", "Bminus"):
         raise UsageError("side must be B or Bminus")
-    if family in ("csm", "sm", "mc", "smc"):
+    if family in cls_mod.FAMILIES:
         table = cls_mod.cell_family(space, family, side).table
     else:
         table = space.schubert_basis(theory, side)
     return theory, side, table
+
+
+def _write(args, text):
+    if args.out:
+        io_mod.write_atomic(args.out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(args, doc, to_csv, to_latex):
@@ -81,10 +88,7 @@ def _emit(args, doc, to_csv, to_latex):
         text = to_latex(doc)
     else:
         raise UsageError("unknown format %r" % (fmt,))
-    if args.out:
-        io_mod.write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def cmd_classes(args):
@@ -103,10 +107,9 @@ def cmd_pair(args):
         raise UsageError("pair needs --family f1,f2")
     # dual pairings put the first family on the B side and the second on the
     # opposite side; the schubert-* names carry their side explicitly
-    cells = ("csm", "sm", "mc", "smc")
     f1, f2 = fams[0].strip(), fams[1].strip()
-    th1, s1, t1 = _family_table(space, f1, "B" if f1 in cells else None)
-    th2, s2, t2 = _family_table(space, f2, "Bminus" if f2 in cells else None)
+    th1, s1, t1 = _family_table(space, f1, "B" if f1 in cls_mod.FAMILIES else None)
+    th2, s2, t2 = _family_table(space, f2, "Bminus" if f2 in cls_mod.FAMILIES else None)
     if th1 != th2:
         raise UsageError("families live in different theories")
     rows = list(space.points)
@@ -147,23 +150,15 @@ def cmd_verify(args):
         reports.append(cls_mod.verify_class_theorems(space, kinds=("motivic",)))
     if args.suite in ("quantum", "all"):
         reports.extend(_quantum_reports(args.fixtures))
-    doc = {"reports": [r.to_json() for r in reports]}
-    text = io_mod.dumps_json(doc)
-    if args.out:
-        io_mod.write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return 0 if all(r.ok for r in reports) else 1
+    return _report(args, reports)
 
 
 def cmd_quantum(args):
-    reports = _quantum_reports(args.fixtures)
-    doc = {"reports": [r.to_json() for r in reports]}
-    text = io_mod.dumps_json(doc)
-    if args.out:
-        io_mod.write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    return _report(args, _quantum_reports(args.fixtures))
+
+
+def _report(args, reports):
+    _write(args, io_mod.dumps_json({"reports": [r.to_json() for r in reports]}))
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -178,11 +173,14 @@ def build_parser():
         q.add_argument("--type", help="Cartan series letter, e.g. A, B, C, D, G")
         q.add_argument("--rank", type=int)
         q.add_argument("--parabolic", default="", help="comma separated simple indices")
-        q.add_argument("--format", default="json", choices=("json", "csv", "latex"))
         q.add_argument("--out", default=None)
 
+    def export(q):
+        common(q)
+        q.add_argument("--format", default="json", choices=("json", "csv", "latex"))
+
     q = sub.add_parser("classes", help="export a class table")
-    common(q)
+    export(q)
     q.add_argument("--family", required=True)
     q.add_argument("--side", default=None)
     q.set_defaults(func=cmd_classes)
@@ -194,7 +192,7 @@ def build_parser():
     q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("pair", help="export a pairing matrix")
-    common(q)
+    export(q)
     q.add_argument("--family", required=True, help="two families, comma separated")
     q.set_defaults(func=cmd_pair)
 

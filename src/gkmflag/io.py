@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from json.encoder import encode_basestring_ascii as _escape
 
-from .model import H, LocalizedClass, flag_space
+from .model import LocalizedClass, flag_space
 from .roots import parse_word, word_str
 from .scalars import (
     fraction_from_json,
@@ -43,14 +43,10 @@ def space_from_json(doc):
     )
 
 
-def _sorted_points(space):
-    return space.points  # already ordered by (length, word)
-
-
 def class_values_json(a):
     return [
         {"label": word_str(v.word), "value": fraction_to_json(a.values[v])}
-        for v in _sorted_points(a.space)
+        for v in a.space.points  # ordered by (length, word)
     ]
 
 
@@ -66,7 +62,7 @@ def class_table_document(space, theory, family, side, table, expansions=None):
         "basis": "fixedpoint",
         "entries": [],
     }
-    for w in _sorted_points(space):
+    for w in space.points:
         entry = {
             "label": word_str(w.word),
             "values": class_values_json(table[w]),

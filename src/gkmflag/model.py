@@ -23,7 +23,6 @@ from .scalars import (
     KScalar,
     ScalarFraction,
     divides_exactly,
-    weyl_act_scalar,
 )
 
 H = "H"
@@ -198,16 +197,13 @@ class LocalizedClass:
 
     @classmethod
     def zero(cls, space, theory):
-        z = _zero_fraction(space, theory)
+        z = _zero_fraction(space.rs.rank, theory)
         return cls(space, theory, {v: z for v in space.points})
 
     @classmethod
     def unit(cls, space, theory):
-        o = _one_fraction(space, theory)
+        o = _one_fraction(space.rs.rank, theory)
         return cls(space, theory, {v: o for v in space.points})
-
-    def restrict(self, v):
-        return self.values[v]
 
     def _check(self, other):
         if self.space is not other.space or self.theory != other.theory:
@@ -242,7 +238,7 @@ class LocalizedClass:
 
     def scale(self, c):
         """Multiply by a global scalar (fraction, ring scalar, or rational)."""
-        c = _as_fraction(self.space, self.theory, c)
+        c = _as_fraction(self.space.rs.rank, self.theory, c)
         return LocalizedClass(
             self.space, self.theory, {v: f * c for v, f in self.values.items()}
         )
@@ -274,24 +270,22 @@ class LocalizedClass:
         return "{%s}" % parts
 
 
-def _zero_fraction(space, theory):
-    rank = space.rs.rank
+def _zero_fraction(rank, theory):
     s = CohScalar.zero(rank) if theory == H else KScalar.zero(rank)
     return ScalarFraction.from_scalar(s)
 
 
-def _one_fraction(space, theory):
-    rank = space.rs.rank
+def _one_fraction(rank, theory):
     s = CohScalar.one(rank) if theory == H else KScalar.one(rank)
     return ScalarFraction.from_scalar(s)
 
 
-def _as_fraction(space, theory, c):
+def _as_fraction(rank, theory, c):
+    """A fraction, ring scalar or rational as a fraction of the theory's ring."""
     if isinstance(c, ScalarFraction):
         return c
     if isinstance(c, (CohScalar, KScalar)):
         return ScalarFraction.from_scalar(c)
-    rank = space.rs.rank
     base = CohScalar if theory == H else KScalar
     return ScalarFraction.from_scalar(base.from_rational(c, rank))
 
@@ -317,7 +311,7 @@ def fixed_point_class(space, theory, v):
         if u is v:
             vals[u] = ScalarFraction.from_scalar(space.normalizer(theory, v))
         else:
-            vals[u] = _zero_fraction(space, theory)
+            vals[u] = _zero_fraction(space.rs.rank, theory)
     return LocalizedClass(space, theory, vals)
 
 
@@ -357,37 +351,46 @@ def first_chern_class(space):
     return LocalizedClass.from_scalars(space, H, vals)
 
 
+def _w0_twist(space, table):
+    """The longest-element twist: entry w is w0^L of the entry at w0 w W_P."""
+    from . import operators as ops
+
+    w0 = space.rs.longest_element
+    return {w: ops.weyl_left(w0, table[space.rep(w0 * w)]) for w in space.points}
+
+
+def _recursive_table(space, theory, side, step, cached):
+    """A table of classes made by a right-operator recursion from the point class.
+
+    On G/B the class at w is step(i, class at w s_i) for the last letter i of
+    w's word; on G/P it is the pushforward of the G/B class; the Bminus side
+    is the w0 twist of the B side.  ``cached(space, side)`` returns the
+    (cached) table of the same family on another space or side.
+    """
+    if side == "Bminus":
+        return _w0_twist(space, cached(space, "B"))
+    if not space.is_full_flag:
+        ftable = cached(space.full_flag(), "B")
+        return {w: pushforward_parabolic(ftable[w], space) for w in space.points}
+    table = {}
+    for w in space.points:  # sorted by length, so shorter classes exist first
+        if w.length == 0:
+            table[w] = fixed_point_class(space, theory, w)
+        else:
+            i = w.word[-1]
+            table[w] = step(i, table[w * space.rs.simple(i)])
+    return table
+
+
 def _build_schubert_basis(space, theory, side):
     from . import operators as ops
 
     if side not in ("B", "Bminus"):
         raise ValueError("side must be 'B' or 'Bminus'")
-    if side == "Bminus":
-        # opposite classes are the w0-twist of the B-side family
-        w0 = space.rs.longest_element
-        bside = space.schubert_basis(theory, "B")
-        table = {}
-        for w in space.points:
-            table[w] = ops.weyl_left(w0, bside[space.rep(w0 * w)])
-        return table
-
-    if not space.is_full_flag:
-        full = space.full_flag()
-        ftable = full.schubert_basis(theory, "B")
-        return {w: pushforward_parabolic(ftable[w], space) for w in space.points}
-
-    table = {}
-    for w in space.points:  # sorted by length, so shorter classes exist first
-        if w.length == 0:
-            table[w] = fixed_point_class(space, theory, w)
-            continue
-        i = w.word[-1]
-        shorter = table[w * space.rs.simple(i)]
-        if theory == H:
-            table[w] = ops.bgg_right(i, shorter)
-        else:
-            table[w] = ops.demazure_right(i, shorter)
-    return table
+    step = ops.bgg_right if theory == H else ops.demazure_right
+    return _recursive_table(
+        space, theory, side, step, lambda sp, sd: sp.schubert_basis(theory, sd)
+    )
 
 
 def schubert_class(space, theory, w, side="B"):
@@ -421,7 +424,7 @@ def integrate(a, extra_ambient_weight=False):
                 continue
             acc = acc + f.num * numers[v]
         return ScalarFraction.make(acc, den)
-    total = _zero_fraction(space, theory)
+    total = _zero_fraction(space.rs.rank, theory)
     for v in space.points:
         f = a.values[v]
         if f.is_zero():
@@ -461,7 +464,7 @@ def pushforward_parabolic(a, target):
                     acc = acc + f.num * numers[v]
             vals[w] = ScalarFraction.make(acc * norm, den)
         else:
-            tot = _zero_fraction(space, theory)
+            tot = _zero_fraction(rank, theory)
             for v in members:
                 tot = tot + a.values[v] * ScalarFraction.make(numers[v], den)
             vals[w] = tot * ScalarFraction.from_scalar(norm)

@@ -23,9 +23,19 @@ s = s_i and u, v running over fixed points:
     dl_left      T_i^L = ((1 + y e^{-a_i}) s_i^L - (1 + y)) / (1 - e^{-a_i})
                  dual:  ((1 + y e^{+a_i}) s_i^L - (1 + y)) / (1 - e^{+a_i})
 
-Applying any of these to a class with polynomial restrictions must produce
-polynomial restrictions again; that closure is asserted after every
-application and a violation raises NonDivisibilityError.
+Every divided-difference and DL operator has one of two shapes, and each
+is a ``step`` function passed to the kernel of its shape:
+
+  _left(i, a, name, step):   (op a)|_u = step(a|_u, s_i(a|_{s_i u}))
+                             on any G/P, with global coefficients;
+  _right(i, a, name, step):  (op a)|_v = step(v(alpha_i), a|_v, a|_{v s_i})
+                             on G/B, with coefficients depending on v.
+
+An operator checks its theory and space, fixes its constants and hands its
+step to a kernel; the kernel loops over the fixed points.  Applying any of
+these to a class with polynomial restrictions must produce polynomial
+restrictions again; the kernels assert that closure after every application
+and a violation raises NonDivisibilityError.
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ from .roots import word_str
 from .scalars import (
     CohScalar,
     KScalar,
-    ScalarFraction,
     weyl_act_scalar,
 )
 
@@ -95,70 +104,69 @@ def weyl_right(w, a):
 
 
 # ---------------------------------------------------------------------------
+# the two operator shapes
+# ---------------------------------------------------------------------------
+
+def _left(i, a, name, step):
+    """(op a)|_u = step(a|_u, s_i(a|_{s_i u})) at every fixed point of any G/P."""
+    space = a.space
+    si = space.rs.simple(i)
+    poly = a.is_polynomial()
+    vals = {}
+    for u in space.points:
+        vals[u] = step(a.values[u], weyl_act_scalar(si, a.values[space.rep(si * u)]))
+    return _poly_guard(poly, LocalizedClass(space, a.theory, vals), name)
+
+
+def _right(i, a, name, step):
+    """(op a)|_v = step(v(alpha_i), a|_v, a|_{v s_i}) at every fixed point of G/B."""
+    space = a.space
+    si = space.rs.simple(i)
+    alpha = space.rs.simple_root(i)
+    poly = a.is_polynomial()
+    vals = {}
+    for v in space.points:
+        vals[v] = step(v.act(alpha), a.values[v], a.values[v * si])
+    return _poly_guard(poly, LocalizedClass(space, a.theory, vals), name)
+
+
+# ---------------------------------------------------------------------------
 # divided difference / Demazure operators
 # ---------------------------------------------------------------------------
 
 def bgg_right(i, a):
     _require_full(a)
     _require_theory(a, H, "bgg_right")
-    space = a.space
-    si = space.rs.simple(i)
-    alpha = space.rs.simple_root(i)
-    poly = a.is_polynomial()
-    vals = {}
-    for v in space.points:
-        diff = a.values[v] - a.values[v * si]
-        div = CohScalar.linear_form(tuple(-c for c in v.act(alpha)))
-        vals[v] = diff.div_scalar(div)
-    return _poly_guard(poly, LocalizedClass(space, H, vals), "bgg_right")
+
+    def step(root, av, avs):
+        return (av - avs).div_scalar(CohScalar.linear_form(tuple(-c for c in root)))
+    return _right(i, a, "bgg_right", step)
 
 
 def bgg_left(i, a):
     _require_theory(a, H, "bgg_left")
-    space = a.space
-    si = space.rs.simple(i)
-    alpha = CohScalar.linear_form(space.rs.simple_root(i))
-    poly = a.is_polynomial()
-    vals = {}
-    for u in space.points:
-        sval = weyl_act_scalar(si, a.values[space.rep(si * u)])
-        vals[u] = (a.values[u] - sval).div_scalar(alpha)
-    return _poly_guard(poly, LocalizedClass(space, H, vals), "bgg_left")
+    alpha = CohScalar.linear_form(a.space.rs.simple_root(i))
+    return _left(i, a, "bgg_left", lambda au, sval: (au - sval).div_scalar(alpha))
 
 
 def demazure_right(i, a):
     _require_full(a)
     _require_theory(a, K, "demazure_right")
-    space = a.space
-    rank = space.rs.rank
-    si = space.rs.simple(i)
-    alpha = space.rs.simple_root(i)
-    one = KScalar.one(rank)
-    poly = a.is_polynomial()
-    vals = {}
-    for v in space.points:
-        t = KScalar.character(v.act(alpha))
-        num = a.values[v] - a.values[v * si].mul_scalar(t)
-        vals[v] = num.div_scalar(one - t)
-    return _poly_guard(poly, LocalizedClass(space, K, vals), "demazure_right")
+    one = KScalar.one(a.space.rs.rank)
+
+    def step(root, av, avs):
+        t = KScalar.character(root)
+        return (av - avs.mul_scalar(t)).div_scalar(one - t)
+    return _right(i, a, "demazure_right", step)
 
 
 def demazure_left(i, a, dual=False):
     _require_theory(a, K, "demazure_left")
-    space = a.space
-    rank = space.rs.rank
-    si = space.rs.simple(i)
-    alpha = space.rs.simple_root(i)
     sign = -1 if dual else 1
-    t = KScalar.character(tuple(sign * c for c in alpha))
-    den = KScalar.one(rank) - t
-    poly = a.is_polynomial()
-    vals = {}
-    for u in space.points:
-        sval = weyl_act_scalar(si, a.values[space.rep(si * u)])
-        vals[u] = (a.values[u] - sval.mul_scalar(t)).div_scalar(den)
-    return _poly_guard(poly, LocalizedClass(space, K, vals),
-                       "demazure_left_dual" if dual else "demazure_left")
+    t = KScalar.character(tuple(sign * c for c in a.space.rs.simple_root(i)))
+    den = KScalar.one(a.space.rs.rank) - t
+    return _left(i, a, "demazure_left_dual" if dual else "demazure_left",
+                 lambda au, sval: (au - sval.mul_scalar(t)).div_scalar(den))
 
 
 # ---------------------------------------------------------------------------
@@ -167,51 +175,40 @@ def demazure_left(i, a, dual=False):
 
 def dl_right(i, a, dual=False):
     _require_full(a)
-    space = a.space
-    rank = space.rs.rank
-    si = space.rs.simple(i)
-    alpha = space.rs.simple_root(i)
-    poly = a.is_polynomial()
-    vals = {}
     if a.theory == H:
-        for v in space.points:
-            sval = a.values[v * si]
-            div = CohScalar.linear_form(tuple(-c for c in v.act(alpha)))
-            bgg = (a.values[v] - sval).div_scalar(div)
-            vals[v] = bgg + sval if dual else bgg - sval
-        return _poly_guard(poly, LocalizedClass(space, H, vals), "dl_right")
+        def step(root, av, avs):
+            bgg = (av - avs).div_scalar(CohScalar.linear_form(tuple(-c for c in root)))
+            return bgg + avs if dual else bgg - avs
+        return _right(i, a, "dl_right", step)
+    rank = a.space.rs.rank
     one = KScalar.one(rank)
     y = KScalar.y(rank)
-    for v in space.points:
-        t = KScalar.character(v.act(alpha))
+
+    def step(root, av, avs):
+        t = KScalar.character(root)
         lv = one + y * t
         if dual:
-            # demazure of (1 + y L) a, minus a
-            ts = KScalar.character((v * si).act(alpha))
-            b_v = a.values[v].mul_scalar(lv)
-            b_vs = a.values[v * si].mul_scalar(one + y * ts)
+            # demazure of (1 + y L) a, minus a; L|_{v s_i} = e^{-v(alpha_i)}
+            ts = KScalar.character(tuple(-c for c in root))
+            b_v = av.mul_scalar(lv)
+            b_vs = avs.mul_scalar(one + y * ts)
             dem = (b_v - b_vs.mul_scalar(t)).div_scalar(one - t)
         else:
-            num = a.values[v] - a.values[v * si].mul_scalar(t)
-            dem = num.div_scalar(one - t).mul_scalar(lv)
-        vals[v] = dem - a.values[v]
-    return _poly_guard(poly, LocalizedClass(space, K, vals), "dl_right")
+            dem = (av - avs.mul_scalar(t)).div_scalar(one - t).mul_scalar(lv)
+        return dem - av
+    return _right(i, a, "dl_right", step)
 
 
 def dl_left(i, a, dual=False):
-    space = a.space
-    rank = space.rs.rank
-    si = space.rs.simple(i)
-    alpha = space.rs.simple_root(i)
-    poly = a.is_polynomial()
-    vals = {}
+    rank = a.space.rs.rank
+    alpha = a.space.rs.simple_root(i)
     if a.theory == H:
         alph = CohScalar.linear_form(alpha)
-        for u in space.points:
-            sval = weyl_act_scalar(si, a.values[space.rep(si * u)])
-            dd = (a.values[u] - sval).div_scalar(alph)
-            vals[u] = (dd + sval) if dual else (sval - dd)
-        return _poly_guard(poly, LocalizedClass(space, H, vals), "dl_left")
+
+        def step(au, sval):
+            dd = (au - sval).div_scalar(alph)
+            return (dd + sval) if dual else (sval - dd)
+        return _left(i, a, "dl_left", step)
     sign = 1 if dual else -1
     t = KScalar.character(tuple(sign * c for c in alpha))
     one = KScalar.one(rank)
@@ -219,27 +216,17 @@ def dl_left(i, a, dual=False):
     den = one - t
     cs = one + y * t   # coefficient of s_i^L, over den
     c0 = one + y       # coefficient of id, over den
-    for u in space.points:
-        sval = weyl_act_scalar(si, a.values[space.rep(si * u)])
-        num = sval.mul_scalar(cs) - a.values[u].mul_scalar(c0)
-        vals[u] = num.div_scalar(den)
-    return _poly_guard(poly, LocalizedClass(space, K, vals), "dl_left")
+    return _left(i, a, "dl_left",
+                 lambda au, sval: (sval.mul_scalar(cs) - au.mul_scalar(c0)).div_scalar(den))
 
 
 def dl_left_homogenized(i, a):
     """s_i^L - hbar * delta_i, acting on cohomology with the hbar variable."""
     _require_theory(a, H, "dl_left_homogenized")
-    space = a.space
-    si = space.rs.simple(i)
-    alpha = CohScalar.linear_form(space.rs.simple_root(i))
-    hbar = CohScalar.hbar(space.rs.rank)
-    poly = a.is_polynomial()
-    vals = {}
-    for u in space.points:
-        sval = weyl_act_scalar(si, a.values[space.rep(si * u)])
-        dd = (a.values[u] - sval).div_scalar(alpha)
-        vals[u] = sval - dd.mul_scalar(hbar)
-    return _poly_guard(poly, LocalizedClass(space, H, vals), "dl_left_homogenized")
+    alpha = CohScalar.linear_form(a.space.rs.simple_root(i))
+    hbar = CohScalar.hbar(a.space.rs.rank)
+    return _left(i, a, "dl_left_homogenized",
+                 lambda au, sval: sval - (au - sval).div_scalar(alpha).mul_scalar(hbar))
 
 
 def dl_right_inverse(i, a, dual=False):
@@ -394,10 +381,14 @@ def _space_label(space):
     return "%s/{%s}" % (space.rs.type_label, par) if par else "%s/B" % space.rs.type_label
 
 
-def _scale_k(space, theory, c):
-    rank = space.rs.rank
-    base = CohScalar if theory == H else KScalar
-    return base.from_rational(c, rank)
+def _each_iw(space, fn):
+    """Witness cases ("i=%d w=%s", lhs, rhs) with (lhs, rhs) = fn(i, w), for
+    every simple index i and fixed point w; lazy, so a check stops computing
+    at its first failure."""
+    for i in range(1, space.rs.rank + 1):
+        for w in space.points:
+            lhs, rhs = fn(i, w)
+            yield ("i=%d w=%s" % (i, word_str(w.word)), lhs, rhs)
 
 
 def verify_relations(space, theory, corrupt=False):
@@ -419,10 +410,12 @@ def verify_relations(space, theory, corrupt=False):
     def quad_defect(op, b):
         # (T^2 - id) b in H; (T + 1)(T + y) b in K
         if theory == H:
-            return op(op(b)) - b
-        y = KScalar.y(rank)
-        tb = op(b)
-        return op(tb) + tb.scale(one + y) + b.scale(y)
+            d = op(op(b)) - b
+        else:
+            y = KScalar.y(rank)
+            tb = op(b)
+            d = op(tb) + tb.scale(one + y) + b.scale(y)
+        return d + b.scale(2) if corrupt else d
 
     sides = [("L", False), ("L", True)] + ([("R", False), ("R", True)] if is_full else [])
 
@@ -435,16 +428,10 @@ def verify_relations(space, theory, corrupt=False):
     zero = LocalizedClass.zero(space, theory)
     for side, dual in sides:
         op = make_op(side, dual)
-        name = "quadratic T^%s%s" % (side, ",dual" if dual else "")
-
-        def gen_quad(op=op):
-            for i in idx:
-                for w, b in basis.items():
-                    d = quad_defect(lambda x: op(i, x), b)
-                    if corrupt:
-                        d = d + b.scale(2)
-                    yield ("i=%d w=%s" % (i, word_str(w.word)), d, zero)
-        rep.check(name, gen_quad())
+        rep.check(
+            "quadratic T^%s%s" % (side, ",dual" if dual else ""),
+            _each_iw(space, lambda i, w: (quad_defect(lambda x: op(i, x), basis[w]), zero)),
+        )
 
     # braid relations
     for side, dual in sides:
@@ -471,32 +458,17 @@ def verify_relations(space, theory, corrupt=False):
 
     # divided-difference squares and left/right commutation
     dleft = (lambda i, b: bgg_left(i, b)) if theory == H else (lambda i, b: demazure_left(i, b))
-    rep.check(
-        "delta_i square",
-        (
-            (
-                "i=%d w=%s" % (i, word_str(w.word)),
-                dleft(i, dleft(i, b)),
-                LocalizedClass.zero(space, theory) if theory == H else dleft(i, b),
-            )
-            for i in idx
-            for w, b in basis.items()
-        ),
-    )
+
+    def square(op):
+        # d_i^2 = 0 in H, d_i^2 = d_i in K
+        return lambda i, w: (
+            op(i, op(i, basis[w])),
+            LocalizedClass.zero(space, theory) if theory == H else op(i, basis[w]),
+        )
+    rep.check("delta_i square", _each_iw(space, square(dleft)))
     if is_full:
         dright = (lambda i, b: bgg_right(i, b)) if theory == H else (lambda i, b: demazure_right(i, b))
-        rep.check(
-            "partial_i square",
-            (
-                (
-                    "i=%d w=%s" % (i, word_str(w.word)),
-                    dright(i, dright(i, b)),
-                    LocalizedClass.zero(space, theory) if theory == H else dright(i, b),
-                )
-                for i in idx
-                for w, b in basis.items()
-            ),
-        )
+        rep.check("partial_i square", _each_iw(space, square(dright)))
         rep.check(
             "delta_i partial_j commute",
             (
@@ -684,206 +656,88 @@ def verify_schubert_actions(space, theory):
     basis = space.schubert_basis(theory, "B")
     obasis = space.schubert_basis(theory, "Bminus")
     zero = LocalizedClass.zero(space, theory)
-    idx = range(1, rs.rank + 1)
     is_full = space.is_full_flag
-    rank = rs.rank
 
-    def minrep(w):
-        return space.rep(w)
+    def point(w):
+        return fixed_point_class(space, theory, w)
+
+    def sl_point(i, w):
+        return weyl_left(rs.simple(i), point(w)), point(space.rep(rs.simple(i) * w))
 
     if theory == H:
         if is_full:
-            rep.check(
-                "partial_i [X_w] cases",
-                (
-                    (
-                        "i=%d w=%s" % (i, word_str(w.word)),
-                        bgg_right(i, basis[w]),
-                        basis[w * rs.simple(i)] if (w * rs.simple(i)).length > w.length else zero,
-                    )
-                    for i in idx
-                    for w in space.points
-                ),
-            )
-            rep.check(
-                "partial_i [X^w] cases",
-                (
-                    (
-                        "i=%d w=%s" % (i, word_str(w.word)),
-                        bgg_right(i, obasis[w]),
-                        obasis[w * rs.simple(i)] if (w * rs.simple(i)).length < w.length else zero,
-                    )
-                    for i in idx
-                    for w in space.points
-                ),
-            )
-        rep.check(
-            "delta_i [X^w] cases",
-            (
-                (
-                    "i=%d w=%s" % (i, word_str(w.word)),
-                    bgg_left(i, obasis[w]),
-                    obasis[minrep(rs.simple(i) * w)] if (rs.simple(i) * w).length < w.length else zero,
-                )
-                for i in idx
-                for w in space.points
-            ),
-        )
+            def right_b(i, w):
+                ws = w * rs.simple(i)
+                return bgg_right(i, basis[w]), basis[ws] if ws.length > w.length else zero
+            rep.check("partial_i [X_w] cases", _each_iw(space, right_b))
 
-        def delschub_rhs(i, w):
+            def right_op(i, w):
+                ws = w * rs.simple(i)
+                return bgg_right(i, obasis[w]), obasis[ws] if ws.length < w.length else zero
+            rep.check("partial_i [X^w] cases", _each_iw(space, right_op))
+
+        def left_op(i, w):
             siw = rs.simple(i) * w
-            if siw.length > w.length and minrep(siw) is siw:
-                return -basis[siw]
-            return zero
+            return bgg_left(i, obasis[w]), obasis[space.rep(siw)] if siw.length < w.length else zero
+        rep.check("delta_i [X^w] cases", _each_iw(space, left_op))
 
-        rep.check(
-            "delta_i [X_w] cases",
-            (
-                ("i=%d w=%s" % (i, word_str(w.word)), bgg_left(i, basis[w]), delschub_rhs(i, w))
-                for i in idx
-                for w in space.points
-            ),
-        )
-
-        def sl_rhs(i, w):
+        def left_b(i, w):
             siw = rs.simple(i) * w
-            if siw.length > w.length:
-                srep = minrep(siw)
-                out = basis[w]
-                if srep is siw:
-                    alpha = CohScalar.linear_form(rs.simple_root(i))
-                    out = out + basis[srep].scale(alpha)
-                return out
-            return basis[w]
+            new_cell = siw.length > w.length and space.rep(siw) is siw
+            return bgg_left(i, basis[w]), -basis[siw] if new_cell else zero
+        rep.check("delta_i [X_w] cases", _each_iw(space, left_b))
 
-        rep.check(
-            "s_i^L [X_w] = [X_w] + alpha_i [X_{s_i w}] cases",
-            (
-                ("i=%d w=%s" % (i, word_str(w.word)), weyl_left(rs.simple(i), basis[w]), sl_rhs(i, w))
-                for i in idx
-                for w in space.points
-            ),
-        )
-        # fixed point actions
-        rep.check(
-            "s_i^L [e_w] = [e_{s_i w}]",
-            (
-                (
-                    "i=%d w=%s" % (i, word_str(w.word)),
-                    weyl_left(rs.simple(i), fixed_point_class(space, H, w)),
-                    fixed_point_class(space, H, minrep(rs.simple(i) * w)),
-                )
-                for i in idx
-                for w in space.points
-            ),
-        )
+        def sl_b(i, w):
+            siw = rs.simple(i) * w
+            rhs = basis[w]
+            if siw.length > w.length and space.rep(siw) is siw:
+                rhs = rhs + basis[siw].scale(CohScalar.linear_form(rs.simple_root(i)))
+            return weyl_left(rs.simple(i), basis[w]), rhs
+        rep.check("s_i^L [X_w] = [X_w] + alpha_i [X_{s_i w}] cases", _each_iw(space, sl_b))
+        rep.check("s_i^L [e_w] = [e_{s_i w}]", _each_iw(space, sl_point))
         if is_full:
             rep.check(
                 "s_i^R [e_w] = -[e_{w s_i}]",
-                (
-                    (
-                        "i=%d w=%s" % (i, word_str(w.word)),
-                        weyl_right(rs.simple(i), fixed_point_class(space, H, w)),
-                        -fixed_point_class(space, H, w * rs.simple(i)),
-                    )
-                    for i in idx
-                    for w in space.points
-                ),
+                _each_iw(space, lambda i, w: (
+                    weyl_right(rs.simple(i), point(w)), -point(w * rs.simple(i)))),
             )
         return rep
 
     # K theory
     if is_full:
-        rep.check(
-            "partial_i O_w cases",
-            (
-                (
-                    "i=%d w=%s" % (i, word_str(w.word)),
-                    demazure_right(i, basis[w]),
-                    basis[w * rs.simple(i)] if (w * rs.simple(i)).length > w.length else basis[w],
-                )
-                for i in idx
-                for w in space.points
-            ),
-        )
-        rep.check(
-            "partial_i O^w cases",
-            (
-                (
-                    "i=%d w=%s" % (i, word_str(w.word)),
-                    demazure_right(i, obasis[w]),
-                    obasis[w * rs.simple(i)] if (w * rs.simple(i)).length < w.length else obasis[w],
-                )
-                for i in idx
-                for w in space.points
-            ),
-        )
+        def right_b(i, w):
+            ws = w * rs.simple(i)
+            return demazure_right(i, basis[w]), basis[ws] if ws.length > w.length else basis[w]
+        rep.check("partial_i O_w cases", _each_iw(space, right_b))
 
-        def slo_rhs(i, w):
+        def right_op(i, w):
+            ws = w * rs.simple(i)
+            return demazure_right(i, obasis[w]), obasis[ws] if ws.length < w.length else obasis[w]
+        rep.check("partial_i O^w cases", _each_iw(space, right_op))
+
+        def sl_b(i, w):
             siw = rs.simple(i) * w
+            rhs = basis[w]
             if siw.length > w.length:
                 e = KScalar.character(tuple(-c for c in rs.simple_root(i)))
-                one = KScalar.one(rank)
-                return basis[w].scale(e) + basis[siw].scale(one - e)
-            return basis[w]
+                rhs = basis[w].scale(e) + basis[siw].scale(KScalar.one(rs.rank) - e)
+            return weyl_left(rs.simple(i), basis[w]), rhs
+        rep.check("s_i^L O_w = e^{-a_i} O_w + (1 - e^{-a_i}) O_{s_i w} cases", _each_iw(space, sl_b))
 
-        rep.check(
-            "s_i^L O_w = e^{-a_i} O_w + (1 - e^{-a_i}) O_{s_i w} cases",
-            (
-                ("i=%d w=%s" % (i, word_str(w.word)), weyl_left(rs.simple(i), basis[w]), slo_rhs(i, w))
-                for i in idx
-                for w in space.points
-            ),
-        )
-        rep.check(
-            "s_i^R iota_w = -e^{w(a_i)} iota_{w s_i}",
-            (
-                (
-                    "i=%d w=%s" % (i, word_str(w.word)),
-                    weyl_right(rs.simple(i), fixed_point_class(space, K, w)),
-                    fixed_point_class(space, K, w * rs.simple(i)).scale(
-                        KScalar.character(w.act(rs.simple_root(i)))
-                    ).scale(-1),
-                )
-                for i in idx
-                for w in space.points
-            ),
-        )
+        def sr_point(i, w):
+            e = KScalar.character(w.act(rs.simple_root(i)))
+            return weyl_right(rs.simple(i), point(w)), point(w * rs.simple(i)).scale(e).scale(-1)
+        rep.check("s_i^R iota_w = -e^{w(a_i)} iota_{w s_i}", _each_iw(space, sr_point))
 
-    rep.check(
-        "delta_i O_w parabolic cases",
-        (
-            (
-                "i=%d w=%s" % (i, word_str(w.word)),
-                demazure_left(i, basis[w]),
-                basis[minrep(rs.simple(i) * w)] if (rs.simple(i) * w).length > w.length else basis[w],
-            )
-            for i in idx
-            for w in space.points
-        ),
-    )
-    rep.check(
-        "delta_i^v O^w parabolic cases",
-        (
-            (
-                "i=%d w=%s" % (i, word_str(w.word)),
-                demazure_left(i, obasis[w], dual=True),
-                obasis[minrep(rs.simple(i) * w)] if (rs.simple(i) * w).length < w.length else obasis[w],
-            )
-            for i in idx
-            for w in space.points
-        ),
-    )
-    rep.check(
-        "s_i^L iota_w = iota_{s_i w}",
-        (
-            (
-                "i=%d w=%s" % (i, word_str(w.word)),
-                weyl_left(rs.simple(i), fixed_point_class(space, K, w)),
-                fixed_point_class(space, K, minrep(rs.simple(i) * w)),
-            )
-            for i in idx
-            for w in space.points
-        ),
-    )
+    def left_b(i, w):
+        siw = rs.simple(i) * w
+        return demazure_left(i, basis[w]), basis[space.rep(siw)] if siw.length > w.length else basis[w]
+    rep.check("delta_i O_w parabolic cases", _each_iw(space, left_b))
+
+    def left_op(i, w):
+        siw = rs.simple(i) * w
+        rhs = obasis[space.rep(siw)] if siw.length < w.length else obasis[w]
+        return demazure_left(i, obasis[w], dual=True), rhs
+    rep.check("delta_i^v O^w parabolic cases", _each_iw(space, left_op))
+    rep.check("s_i^L iota_w = iota_{s_i w}", _each_iw(space, sl_point))
     return rep

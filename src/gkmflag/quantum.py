@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import (
     H,
     K,
+    _as_fraction,
+    _one_fraction,
     first_chern_class,
     flag_space,
     pair,
@@ -39,7 +40,6 @@ from .scalars import (
     KScalar,
     ScalarFraction,
     fraction_from_json,
-    fraction_to_json,
     weyl_act_scalar,
 )
 
@@ -67,11 +67,6 @@ def _classical_theory(theory):
     raise ValueError("theory must be QH or QK")
 
 
-def _one(space, theory):
-    base = CohScalar if theory == QH else KScalar
-    return ScalarFraction.from_scalar(base.one(space.rs.rank))
-
-
 @dataclass
 class StructureTable:
     """A (possibly partial) table of quantum structure constants."""
@@ -88,18 +83,13 @@ class StructureTable:
         """Terms of the product of two basis elements, or a unit shortcut."""
         e = self.space.rs.identity
         zero = (0,) * len(self.qnodes)
-        if u is e:
-            return ((v, zero, _one(self.space, self.theory)),)
-        if v is e:
-            return ((u, zero, _one(self.space, self.theory)),)
+        if u is e or v is e:
+            one = _one_fraction(self.space.rs.rank, _classical_theory(self.theory))
+            return ((v if u is e else u, zero, one),)
         got = self.entries.get(self.key(u, v))
         if got is None:
             raise MissingProductError(u, v)
         return got
-
-    def has_product(self, u, v):
-        e = self.space.rs.identity
-        return u is e or v is e or self.key(u, v) in self.entries
 
 
 def quantum_degrees(space):
@@ -118,9 +108,24 @@ def quantum_degrees(space):
 
 
 def load_table(doc):
-    """Parse and validate a structure table document (dict or JSON text)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    """Parse and validate a structure table document (dict or JSON text).
+
+    Text that is not JSON and a document with a missing key or a value of the
+    wrong kind raise TableValidationError, like a table that fails validation.
+    """
+    try:
+        table, qdegs = _parse_table(json.loads(doc) if isinstance(doc, str) else doc)
+    except TableValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TableValidationError(
+            "malformed table document (%s: %s)" % (type(exc).__name__, exc)
+        ) from exc
+    _validate_table(table, qdegs)
+    return table
+
+
+def _parse_table(doc):
     spdoc = doc["space"]
     space = flag_space(
         "%s%d" % (spdoc["type"], spdoc["rank"]), tuple(spdoc.get("parabolic", ()))
@@ -162,10 +167,7 @@ def load_table(doc):
                 (ent["u"], ent["v"]),
             )
         entries[key] = canon
-
-    table = StructureTable(space, theory, qnodes, entries)
-    _validate_table(table, qdegs)
-    return table
+    return StructureTable(space, theory, qnodes, entries), qdegs
 
 
 def _validate_table(table, qdegs):
@@ -177,7 +179,7 @@ def _validate_table(table, qdegs):
     for (u, v), terms in table.entries.items():
         labels = (word_str(u.word), word_str(v.word))
         if u is e:
-            expect = ((v, zero_q, _one(space, theory)),)
+            expect = ((v, zero_q, _one_fraction(space.rs.rank, cls_theory)),)
             if terms != expect:
                 raise TableValidationError(
                     "unit row violated on (%s, %s)" % labels, labels
@@ -236,7 +238,8 @@ class QuantumClass:
                     [i for i in range(1, space.rs.rank + 1) if i not in space.parabolic.indices]
                 )
             qdeg = (0,) * arity
-        return cls(space, theory, {tuple(qdeg): {w: _one(space, theory)}})
+        one = _one_fraction(space.rs.rank, _classical_theory(theory))
+        return cls(space, theory, {tuple(qdeg): {w: one}})
 
     def normalized(self):
         out = {}
@@ -258,12 +261,11 @@ class QuantumClass:
         return self + other.scale(-1)
 
     def scale(self, c):
-        out = {}
-        for qd, exp in self.terms.items():
-            if isinstance(c, ScalarFraction):
-                out[qd] = {w: x * c for w, x in exp.items()}
-            else:
-                out[qd] = {w: x.mul_scalar(_coerce_scalar(self, c)) for w, x in exp.items()}
+        if isinstance(c, ScalarFraction):
+            out = {qd: {w: x * c for w, x in exp.items()} for qd, exp in self.terms.items()}
+        else:
+            s = _as_fraction(self.space.rs.rank, _classical_theory(self.theory), c).num
+            out = {qd: {w: x.mul_scalar(s) for w, x in exp.items()} for qd, exp in self.terms.items()}
         return QuantumClass(self.space, self.theory, out).normalized()
 
     def __eq__(self, other):
@@ -274,13 +276,6 @@ class QuantumClass:
             and self.theory == other.theory
             and self.normalized().terms == other.normalized().terms
         )
-
-
-def _coerce_scalar(qc, c):
-    if isinstance(c, (CohScalar, KScalar)):
-        return c
-    base = CohScalar if qc.theory == QH else KScalar
-    return base.from_rational(c, qc.space.rs.rank)
 
 
 def q_multiply(table, a, b):
@@ -360,11 +355,11 @@ class FormalQElem:
 
     @classmethod
     def unit(cls, rank, kind):
-        return cls(rank, kind, {(): _one_frac(rank, kind)})
+        return cls(rank, kind, {(): _one_fraction(rank, kind)})
 
     @classmethod
     def generator(cls, rank, kind, name):
-        return cls(rank, kind, {(name,): _one_frac(rank, kind)})
+        return cls(rank, kind, {(name,): _one_fraction(rank, kind)})
 
     @classmethod
     def zero(cls, rank, kind):
@@ -392,8 +387,7 @@ class FormalQElem:
         return FormalQElem(self.rank, self.kind, out)
 
     def scale(self, c):
-        if not isinstance(c, ScalarFraction):
-            c = _as_frac(self.rank, self.kind, c)
+        c = _as_fraction(self.rank, self.kind, c)
         return FormalQElem(self.rank, self.kind, {w: x * c for w, x in self.terms.items()})
 
     def __eq__(self, other):
@@ -413,18 +407,6 @@ class FormalQElem:
             name = "*".join(w) if w else "1"
             bits.append("(%s)%s" % (render_fraction(c), "" if not w else "*" + name))
         return " + ".join(bits)
-
-
-def _one_frac(rank, kind):
-    base = CohScalar if kind == H else KScalar
-    return ScalarFraction.from_scalar(base.one(rank))
-
-
-def _as_frac(rank, kind, c):
-    if isinstance(c, (CohScalar, KScalar)):
-        return ScalarFraction.from_scalar(c)
-    base = CohScalar if kind == H else KScalar
-    return ScalarFraction.from_scalar(base.from_rational(c, rank))
 
 
 @dataclass
@@ -453,7 +435,7 @@ def formal_leibniz_eval(facts, x):
             return (c - weyl_act_scalar(si, c)) / alpha_f
     else:
         t = ScalarFraction.from_scalar(KScalar.character(tuple(-a for a in alpha)))
-        den = _one_frac(rank, kind) - t
+        den = _one_fraction(rank, kind) - t
 
         def dd_scalar(c):
             return (c - t * weyl_act_scalar(si, c)) / den
@@ -485,9 +467,9 @@ def formal_leibniz_eval(facts, x):
             return dg
         b_delta = delta_word(rest)
         if kind == H:
-            return dg * FormalQElem(rank, kind, {rest: _one_frac(rank, kind)}) + sg * b_delta
+            return dg * FormalQElem(rank, kind, {rest: _one_fraction(rank, kind)}) + sg * b_delta
         t = ScalarFraction.from_scalar(KScalar.character(tuple(-a for a in alpha)))
-        rest_elem = FormalQElem(rank, kind, {rest: _one_frac(rank, kind)})
+        rest_elem = FormalQElem(rank, kind, {rest: _one_fraction(rank, kind)})
         s_rest = s_word(rest)
         return (
             dg * rest_elem
@@ -498,7 +480,7 @@ def formal_leibniz_eval(facts, x):
     out = FormalQElem.zero(rank, kind)
     for word, c in x.terms.items():
         dword = delta_word(word)
-        word_elem = FormalQElem(rank, kind, {word: _one_frac(rank, kind)})
+        word_elem = FormalQElem(rank, kind, {word: _one_fraction(rank, kind)})
         if kind == H:
             out = out + word_elem.scale(dd_scalar(c)) + dword.scale(weyl_act_scalar(si, c))
         else:
@@ -717,13 +699,22 @@ def fixture_dir():
 
 
 def load_fixture_table(name):
+    """Load a structure table file; an unreadable or invalid file raises
+    TableValidationError naming the file."""
     import os
 
     path = name if os.path.sep in name or os.path.exists(name) else os.path.join(
         fixture_dir(), name
     )
-    with open(path) as f:
-        return load_table(f.read())
+    try:
+        with open(path) as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TableValidationError("cannot read %s: %s" % (path, exc)) from exc
+    try:
+        return load_table(text)
+    except TableValidationError as exc:
+        raise TableValidationError("%s: %s" % (path, exc), exc.pair_labels) from exc
 
 
 def verify_quantum_relations(table):

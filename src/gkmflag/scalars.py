@@ -339,6 +339,22 @@ class _ScalarBase:
         self.rank = rank
         self.terms = terms
 
+    def _unit_key(self):
+        return (0,) * (self.rank + 1)
+
+    @classmethod
+    def zero(cls, rank):
+        return cls(rank, {})
+
+    @classmethod
+    def one(cls, rank):
+        return cls(rank, {(0,) * (rank + 1): 1})
+
+    @classmethod
+    def from_rational(cls, q, rank):
+        q = _coeff(q)
+        return cls(rank, {(0,) * (rank + 1): q} if q else {})
+
     @classmethod
     def from_terms(cls, rank, terms):
         """Safe constructor: coerces coefficients and drops zeros."""
@@ -410,26 +426,10 @@ class CohScalar(_ScalarBase):
 
     __slots__ = ()
 
-    def _unit_key(self):
-        return (0,) * (self.rank + 1)
-
     @staticmethod
     def _order_key(k):
         # graded lex with a1 < ... < ar < hbar
         return (sum(k), k[::-1])
-
-    @classmethod
-    def zero(cls, rank):
-        return cls(rank, {})
-
-    @classmethod
-    def one(cls, rank):
-        return cls(rank, {(0,) * (rank + 1): 1})
-
-    @classmethod
-    def from_rational(cls, q, rank):
-        q = _coeff(q)
-        return cls(rank, {(0,) * (rank + 1): q} if q else {})
 
     @classmethod
     def linear_form(cls, vec):
@@ -483,9 +483,6 @@ class CohScalar(_ScalarBase):
             return -1
         return max(sum(k) for k in self.terms)
 
-    def homogeneous_part(self, d):
-        return CohScalar(self.rank, {k: c for k, c in self.terms.items() if sum(k) == d})
-
     def substitute_hbar_one(self):
         out = {}
         for k, c in self.terms.items():
@@ -508,25 +505,9 @@ class KScalar(_ScalarBase):
 
     __slots__ = ()
 
-    def _unit_key(self):
-        return (0,) * (self.rank + 1)
-
     @staticmethod
     def _order_key(k):
         return k  # lattice-then-y lex
-
-    @classmethod
-    def zero(cls, rank):
-        return cls(rank, {})
-
-    @classmethod
-    def one(cls, rank):
-        return cls(rank, {(0,) * (rank + 1): 1})
-
-    @classmethod
-    def from_rational(cls, q, rank):
-        q = _coeff(q)
-        return cls(rank, {(0,) * (rank + 1): q} if q else {})
 
     @classmethod
     def character(cls, vec):
@@ -660,11 +641,6 @@ class ScalarFraction:
     @classmethod
     def from_scalar(cls, s):
         return cls(s, type(s).one(s.rank))
-
-    @classmethod
-    def zero_like(cls, s):
-        z = type(s.num).zero(s.num.rank)
-        return cls(z, type(s.num).one(s.num.rank))
 
     def is_zero(self):
         return self.num.is_zero()

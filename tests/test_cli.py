@@ -181,3 +181,21 @@ def test_internal_breach_exits_3(monkeypatch):
     monkeypatch.setattr(cli.cls_mod, "cell_family", boom)
     rc = main(["classes", "--type", "A", "--rank", "1", "--family", "csm"])
     assert rc == 3
+
+
+def test_verify_has_no_format_option():
+    rc = main(["verify", "--suite", "operators", "--type", "A", "--rank", "1", "--format", "csv"])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"theory": "QH", "entries": []}'],
+                         ids=["missing", "malformed-json", "no-space"])
+@pytest.mark.parametrize("command", [["quantum"], ["verify", "--suite", "quantum"]])
+def test_unreadable_fixture_table_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "table.json"
+    if content is not None:
+        path.write_text(content)
+    rc = main(command + ["--fixtures", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid table: ") and str(path) in err

@@ -11,6 +11,7 @@ from gkmflag.model import (
     schubert_class,
 )
 from gkmflag.operators import (
+    NonDivisibilityError,
     NonReducedWordError,
     OperatorSpec,
     RightOperatorOnParabolicError,
@@ -170,6 +171,61 @@ def test_dl_left_homogenized(a1):
             lhs = weyl_left(a2.rs.simple(i), b)
             rhs = dl_left_homogenized(i, b).scale(fr(al) / den) + b.scale(fr(hb) / den)
             assert lhs == rhs
+
+
+def _guard_class(kind, theory):
+    if kind == "parabolic":
+        return LocalizedClass.unit(flag_space("A2", (1,)), theory)
+    a1 = flag_space("A1")
+    if kind == "full":
+        return LocalizedClass.unit(a1, theory)
+    # polynomial restrictions 0 at e and 1 at s1: not a GKM class, so every
+    # divided difference of it has a pole
+    base = CohScalar if theory == H else KScalar
+    e, s1 = a1.points
+    return LocalizedClass.from_scalars(a1, theory, {e: base.zero(1), s1: base.one(1)})
+
+
+def _guard_cases():
+    other = {H: K, K: H}
+    for name, op in (("bgg_right", bgg_right), ("demazure_right", demazure_right), ("dl_right", dl_right)):
+        for th in (H, K):
+            yield pytest.param(
+                op, {}, "parabolic", th, RightOperatorOnParabolicError, "right operators",
+                id="%s-parabolic-%s" % (name, th),
+            )
+    for name, op, th in (
+        ("bgg_right", bgg_right, H), ("bgg_left", bgg_left, H),
+        ("dl_left_homogenized", dl_left_homogenized, H),
+        ("demazure_right", demazure_right, K), ("demazure_left", demazure_left, K),
+    ):
+        yield pytest.param(
+            op, {}, "full", other[th], ValueError, "%s needs theory %s" % (name, th),
+            id="%s-theory-%s" % (name, other[th]),
+        )
+    for name, op, kwargs, theories in (
+        ("bgg_right", bgg_right, {}, (H,)),
+        ("bgg_left", bgg_left, {}, (H,)),
+        ("dl_left_homogenized", dl_left_homogenized, {}, (H,)),
+        ("demazure_right", demazure_right, {}, (K,)),
+        ("demazure_left", demazure_left, {}, (K,)),
+        ("demazure_left_dual", demazure_left, {"dual": True}, (K,)),
+        ("dl_right", dl_right, {}, (H, K)),
+        ("dl_right", dl_right, {"dual": True}, (H, K)),
+        ("dl_left", dl_left, {}, (H, K)),
+        ("dl_left", dl_left, {"dual": True}, (H, K)),
+    ):
+        for th in theories:
+            yield pytest.param(
+                op, kwargs, "nongkm", th, NonDivisibilityError, "^%s output left" % name,
+                id="%s%s-nondivisible-%s" % (op.__name__, "-dual" if kwargs else "", th),
+            )
+
+
+@pytest.mark.parametrize("op,kwargs,kind,theory,exc,match", list(_guard_cases()))
+def test_operator_guards(op, kwargs, kind, theory, exc, match):
+    with pytest.raises(exc, match=match):
+        op(1, _guard_class(kind, theory), **kwargs)
 
 
 def test_apply_word(a1):
