@@ -8,12 +8,14 @@ representatives:
 * mc / smc:   motivic Chern classes of cells and Segre motivic duals
               (K theory with the parameter y).
 
-B-side families are generated on the full flag space by right DL words from
-the point class and pushed down; opposite families are the longest-element
-twist.  Segre motivic classes are produced by the exact dual-basis solve
-against the motivic Chern classes; the divided-difference recursions and the
-inverse-word closed forms are then verified as theorems rather than used as
-constructors.
+B-side csm and mc families are generated from the point class by right DL
+operators on the full flag space and by left DL operators on G/P; opposite
+families are the longest-element twist.  Segre-MacPherson classes are the
+csm classes divided by c(T_X).  Opposite Segre motivic classes come from
+the inverse-word closed form on the full flag space and from the exact
+dual-basis solve against the motivic Chern classes on G/P, and their B side
+is the twist; the other recursions and the pushforward identities are
+verified as theorems rather than used as constructors.
 """
 
 from __future__ import annotations
@@ -105,10 +107,10 @@ def _build(space, family, side):
             return _smc_closed_form(space)
         mc = cell_family(space, "mc", "B").table
         return _dual_basis_solve(space, mc)
-    # csm and mc cell classes: right DL words from the point class
+    # csm and mc cell classes: DL words from the point class
     theory = H if family == "csm" else K
     return _recursive_table(
-        space, theory, side, dl_right, lambda sp, sd: cell_family(sp, family, sd).table
+        space, theory, side, dl_right, dl_left, lambda sd: cell_family(space, family, sd).table
     )
 
 

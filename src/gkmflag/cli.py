@@ -3,7 +3,9 @@
 Four commands: ``classes`` exports a characteristic-class or Schubert table,
 ``verify`` runs an identity suite, ``pair`` exports a pairing matrix, and
 ``quantum`` runs the quantum fixture checks.  Exit codes: 0 success, 1 an
-identity failed, 2 usage error, 3 internal invariant breach.
+identity failed, 2 usage error (including an option that would be ignored
+or contradicts another, an unreadable fixture table and an unwritable
+``--out``), 3 internal invariant breach or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from . import classes as cls_mod
 from . import io as io_mod
 from . import model, operators, quantum
 from .model import H, K
-from .operators import NonDivisibilityError
 
 
 FAMILY_INFO = {
-    # family: (theory, default side)
+    # family: (theory, own side); cell families also take the other side
     "csm": (H, "B"),
     "sm": (H, "B"),
     "mc": (K, "B"),
@@ -60,12 +61,14 @@ def _family_table(space, family, side):
     info = FAMILY_INFO.get(family)
     if info is None:
         raise UsageError("unknown family %r" % (family,))
-    theory, default_side = info
-    side = side or default_side
+    theory, own_side = info
+    side = side or own_side
     if side not in ("B", "Bminus"):
         raise UsageError("side must be B or Bminus")
     if family in cls_mod.FAMILIES:
         table = cls_mod.cell_family(space, family, side).table
+    elif side != own_side:
+        raise UsageError("family %s has side %s, not %s" % (family, own_side, side))
     else:
         table = space.schubert_basis(theory, side)
     return theory, side, table
@@ -73,7 +76,10 @@ def _family_table(space, family, side):
 
 def _write(args, text):
     if args.out:
-        io_mod.write_atomic(args.out, text)
+        try:
+            io_mod.write_atomic(args.out, text)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (args.out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 
@@ -137,6 +143,10 @@ def _quantum_reports(fixtures):
 def cmd_verify(args):
     if args.suite not in SUITES:
         raise UsageError("unknown suite %r" % (args.suite,))
+    if args.fixtures is not None and args.suite not in ("quantum", "all"):
+        raise UsageError("--fixtures applies to the quantum and all suites only")
+    if args.suite == "quantum" and (args.type or args.rank is not None or args.parabolic):
+        raise UsageError("--type, --rank and --parabolic do not apply to the quantum suite")
     reports = []
     if args.suite in ("operators", "csm", "motivic", "all"):
         space = _space(args)
@@ -215,12 +225,13 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 2
-    except (NonDivisibilityError, AssertionError) as exc:
-        sys.stderr.write("internal invariant breach: %s\n" % exc)
-        return 3
     except quantum.TableValidationError as exc:
         sys.stderr.write("invalid table: %s\n" % exc)
         return 2
+    except Exception as exc:
+        msg = " ".join(str(exc).split())
+        sys.stderr.write("internal invariant breach: %s: %s\n" % (type(exc).__name__, msg))
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 A class is a total map from the fixed points (minimal coset representatives
 in W^P) to scalar fractions: CohScalar fractions for theory "H", KScalar
-fractions for theory "K".  Schubert classes are generated on the full flag
-space by the right divided-difference recursion from the point class and
-pushed down to G/P; opposite classes come from the longest-element twist.
+fractions for theory "K".  Schubert classes are generated from the point
+class by the right divided differences on the full flag space and by the
+left ones on G/P, which walk W^P upward without leaving it; opposite
+classes come from the longest-element twist.
 
 Integration and pairing use the Atiyah-Bott style weights 1/e(T_v) resp.
 1/lambda_{-1}(T_v^*).  Over one space all these weights share a common
@@ -127,7 +128,8 @@ class FlagSpace:
             numers = {}
             for v in self.points:
                 ok, q = divides_exactly(self.normalizer(theory, v), den)
-                assert ok, "localization weight is not a subproduct"
+                if not ok:
+                    raise ArithmeticError("localization weight is not a subproduct")
                 numers[v] = q
             self._cache[key] = (numers, den)
         return self._cache[key]
@@ -155,7 +157,8 @@ class FlagSpace:
             for v in self.points:
                 base = self.normalizer(theory, v) * self.ambient_restriction(theory, v)
                 ok, q = divides_exactly(base, den)
-                assert ok, "characteristic weight is not a subproduct"
+                if not ok:
+                    raise ArithmeticError("characteristic weight is not a subproduct")
                 numers[v] = q
             self._cache[key] = (numers, den)
         return self._cache[key]
@@ -359,26 +362,29 @@ def _w0_twist(space, table):
     return {w: ops.weyl_left(w0, table[space.rep(w0 * w)]) for w in space.points}
 
 
-def _recursive_table(space, theory, side, step, cached):
-    """A table of classes made by a right-operator recursion from the point class.
+def _recursive_table(space, theory, side, right_step, left_step, cached):
+    """A table of classes made by an operator recursion from the point class.
 
-    On G/B the class at w is step(i, class at w s_i) for the last letter i of
-    w's word; on G/P it is the pushforward of the G/B class; the Bminus side
-    is the w0 twist of the B side.  ``cached(space, side)`` returns the
-    (cached) table of the same family on another space or side.
+    On G/B the class at w is right_step(i, class at w s_i) for the last letter
+    i of w's word.  On G/P it is left_step(i, class at s_i w) for the first
+    letter i: s_i w is again in W^P, so the walk never leaves W^P.  The Bminus
+    side is the w0 twist of the B side; ``cached(side)`` returns the (cached)
+    table of the same family on the given side.
     """
     if side == "Bminus":
-        return _w0_twist(space, cached(space, "B"))
-    if not space.is_full_flag:
-        ftable = cached(space.full_flag(), "B")
-        return {w: pushforward_parabolic(ftable[w], space) for w in space.points}
+        return _w0_twist(space, cached("B"))
+    simple = space.rs.simple
+    full = space.is_full_flag
     table = {}
     for w in space.points:  # sorted by length, so shorter classes exist first
         if w.length == 0:
             table[w] = fixed_point_class(space, theory, w)
-        else:
+        elif full:
             i = w.word[-1]
-            table[w] = step(i, table[w * space.rs.simple(i)])
+            table[w] = right_step(i, table[w * simple(i)])
+        else:
+            i = w.word[0]
+            table[w] = left_step(i, table[simple(i) * w])
     return table
 
 
@@ -387,9 +393,12 @@ def _build_schubert_basis(space, theory, side):
 
     if side not in ("B", "Bminus"):
         raise ValueError("side must be 'B' or 'Bminus'")
-    step = ops.bgg_right if theory == H else ops.demazure_right
+    if theory == H:
+        right, left = ops.bgg_right, lambda i, a: -ops.bgg_left(i, a)
+    else:
+        right, left = ops.demazure_right, ops.demazure_left
     return _recursive_table(
-        space, theory, side, step, lambda sp, sd: sp.schubert_basis(theory, sd)
+        space, theory, side, right, left, lambda sd: space.schubert_basis(theory, sd)
     )
 
 
@@ -559,8 +568,8 @@ def expand_schubert(a, side="B"):
                 bv = bw.values[v]
                 if not bv.is_zero():
                     remaining[v] = remaining[v] - cw * bv
-    for v in space.points:
-        assert remaining[v].is_zero(), "expansion did not terminate"
+    if not all(remaining[v].is_zero() for v in space.points):
+        raise ArithmeticError("expansion did not terminate")
     return SchubertExpansion(space, theory, side, coeffs)
 
 

@@ -18,6 +18,7 @@ from gkmflag.model import (
     fixed_point_class,
     flag_space,
     pair,
+    pushforward_parabolic,
     schubert_class,
 )
 from gkmflag.operators import dl_left
@@ -178,3 +179,34 @@ def test_cell_family_rejects_bad_input():
         cell_family(a1, "nope", "B")
     with pytest.raises(ValueError):
         cell_family(a1, "csm", "left")
+
+
+# The G/P tables are built by left operators, the G/B ones by right
+# operators; the pushforward along G/B -> G/P must carry one to the other.
+# A cell BwB/B with w in W^P maps isomorphically onto BwP/P; an opposite
+# Schubert variety of G/B maps birationally onto X^w exactly when its index
+# is w w_{0,P}, the longest element of the coset.
+PUSHFORWARD_SPACES = [
+    ("A2", (1,)), ("B2", (1,)), ("B2", (2,)), ("G2", (1,)),
+    ("A3", (1, 3)), ("A3", (2,)), ("C3", (2, 3)),
+]
+
+
+@pytest.mark.parametrize("label,par", PUSHFORWARD_SPACES,
+                         ids=["%s/%s" % (l, ",".join(map(str, p))) for l, p in PUSHFORWARD_SPACES])
+def test_left_built_tables_are_pushforwards(label, par):
+    space = flag_space(label, par)
+    full = space.full_flag()
+    w0p = max(space.parabolic.subgroup, key=lambda x: x.length)
+    for theory in (H, K):
+        for side in ("B", "Bminus"):
+            down = full.schubert_basis(theory, side)
+            table = space.schubert_basis(theory, side)
+            for w in space.points:
+                u = w if side == "B" else w * w0p
+                assert pushforward_parabolic(down[u], space) == table[w], (theory, side, w)
+    for family in ("csm", "mc"):
+        down = cell_family(full, family, "B").table
+        table = cell_family(space, family, "B").table
+        for w in space.points:
+            assert pushforward_parabolic(down[w], space) == table[w], (family, w)

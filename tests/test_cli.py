@@ -199,3 +199,61 @@ def test_unreadable_fixture_table_exits_2(tmp_path, capsys, command, content):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("invalid table: ") and str(path) in err
+
+
+def test_fixtures_outside_quantum_suites_exits_2(capsys):
+    rc = main(["verify", "--suite", "operators", "--type", "A", "--rank", "1",
+               "--fixtures", "/nonexistent/x.json"])
+    assert rc == 2
+    assert "--fixtures" in capsys.readouterr().err
+
+
+def test_space_options_on_quantum_suite_exit_2():
+    assert main(["verify", "--suite", "quantum", "--type", "A", "--rank", "1"]) == 2
+
+
+@pytest.mark.parametrize("family,side", [
+    ("schubert-b", "Bminus"), ("schubert-bminus", "B"),
+    ("kschubert-b", "Bminus"), ("kschubert-bminus", "B"),
+])
+def test_schubert_family_with_other_side_exits_2(tmp_path, family, side):
+    rc, text = run(tmp_path, "classes", "--type", "A", "--rank", "2", "--family", family,
+                   "--side", side)
+    assert rc == 2 and text is None
+
+
+def test_schubert_family_with_own_side_and_cells_on_both_sides(tmp_path):
+    rc, _ = run(tmp_path, "classes", "--type", "A", "--rank", "2", "--family", "schubert-b",
+                "--side", "B")
+    assert rc == 0
+    rc, text = run(tmp_path, "classes", "--type", "A", "--rank", "2", "--family", "csm",
+                   "--side", "Bminus")
+    assert rc == 0 and json.loads(text)["side"] == "Bminus"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "d"
+    if where == "missing-dir":
+        out = out / "x.json"
+    else:
+        out.mkdir()
+    rc = main(["classes", "--type", "A", "--rank", "1", "--family", "csm", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    import gkmflag.cli as cli
+
+    def boom(*a, **k):
+        raise KeyError("deliberately\nbroken")
+
+    monkeypatch.setattr(cli.cls_mod, "cell_family", boom)
+    rc = main(["classes", "--type", "A", "--rank", "1", "--family", "csm"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("internal invariant breach: KeyError") and err.count("\n") == 1

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -266,3 +269,23 @@ def test_duality_pairing_complementary_dimensions():
                 expected = fr(CohScalar.one(2)) if w is u else None
                 if w is u:
                     assert val == expected
+
+
+def test_nonterminating_expansion_raises_under_optimize():
+    # a basis that is not triangular leaves a remainder; the check must not
+    # be an assert, which ``python -O`` strips
+    code = (
+        "from gkmflag.model import H, LocalizedClass, expand_schubert, fixed_point_class, flag_space\n"
+        "sp = flag_space('A1')\n"
+        "unit = LocalizedClass.unit(sp, H)\n"
+        "sp._cache[('schubert', H, 'B')] = {w: unit for w in sp.points}\n"
+        "try:\n"
+        "    expand_schubert(fixed_point_class(sp, H, sp.points[0]))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised: expansion did not terminate\n"
