@@ -8,14 +8,16 @@ representatives:
 * mc / smc:   motivic Chern classes of cells and Segre motivic duals
               (K theory with the parameter y).
 
-B-side csm and mc families are generated from the point class by right DL
-operators on the full flag space and by left DL operators on G/P; opposite
-families are the longest-element twist.  Segre-MacPherson classes are the
-csm classes divided by c(T_X).  Opposite Segre motivic classes come from
-the inverse-word closed form on the full flag space and from the exact
-dual-basis solve against the motivic Chern classes on G/P, and their B side
-is the twist; the other recursions and the pushforward identities are
-verified as theorems rather than used as constructors.
+Every table comes from one recursion on the point class: right DL steps
+T_i on the full flag space, left ones on G/P, and the longest-element twist
+for the opposite side.  csm and mc cells take the steps T_i.  Segre
+motivic cells take T_i + (1+y) = -y T_i^{-1}, which yields lambda_y(T*X)
+times the class (the left operators commute with that left-invariant
+factor, and on G/B the right walk gives the same classes); one pointwise
+division by it follows.  Segre-MacPherson classes are the csm classes
+divided by c(T_X).  The closed forms, the dual-basis solve, the other
+recursions and the pushforward identities are verified as theorems rather
+than used as constructors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .model import (
     K,
     LocalizedClass,
     _recursive_table,
-    _w0_twist,
     ambient_class,
     fixed_point_class,
     gkm_check,
@@ -46,7 +47,7 @@ from .operators import (
     weyl_left,
 )
 from .roots import word_str
-from .scalars import CohScalar, KScalar, ScalarFraction
+from .scalars import CohScalar, KScalar, ScalarFraction, _normalize_unit, divides_exactly
 
 FAMILIES = ("csm", "sm", "mc", "smc")
 
@@ -94,51 +95,40 @@ def smc_cell(space, w, side="Bminus"):
 
 def _build(space, family, side):
     if family == "sm":
-        csm = cell_family(space, "csm", side).table
-        amb = ambient_class(space, H)
-        return {w: _pointwise_div(c, amb) for w, c in csm.items()}
-    if family == "smc":
-        if side == "B":
-            return _w0_twist(space, cell_family(space, "smc", "Bminus").table)
-        if space.is_full_flag:
-            # inverse-word closed form; the dual-basis solve on the full
-            # flag space is quadratic-blowup territory, so it is kept as a
-            # cross-check on small spaces only
-            return _smc_closed_form(space)
-        mc = cell_family(space, "mc", "B").table
-        return _dual_basis_solve(space, mc)
-    # csm and mc cell classes: DL words from the point class
+        return _over_ambient(space, H, cell_family(space, "csm", side).table)
     theory = H if family == "csm" else K
-    return _recursive_table(
-        space, theory, side, dl_right, dl_left, lambda sd: cell_family(space, family, sd).table
+    right, left = dl_right, dl_left
+    if family == "smc":
+        # (T_i + 1)(T_i + y) = 0 makes T_i + (1+y) = -y T_i^{-1}: this walks
+        # the inverse words and yields lambda_y(T*X) * smc, which stays
+        # polynomial (see the module docstring).
+        shift = KScalar.one(space.rs.rank) + KScalar.y(space.rs.rank)
+        right = lambda i, a: dl_right(i, a) + a.scale(shift)
+        left = lambda i, a: dl_left(i, a) + a.scale(shift)
+    table = _recursive_table(
+        space, theory, side, right, left, lambda sd: cell_family(space, family, sd).table
     )
-
-
-def _pointwise_div(a, b):
-    vals = {v: a.values[v] / b.values[v] for v in a.space.points}
-    return LocalizedClass(a.space, a.theory, vals)
-
-
-def _smc_closed_form(space):
-    """Opposite Segre motivic classes on the full flag space:
-    (-y)^(dim - l(w)) / prod(1 + y e^{-beta}) times the inverse dual-DL word
-    operator of w0 w applied to the opposite point class."""
-    rank = space.rs.rank
-    w0 = space.rs.longest_element
-    one = KScalar.one(rank)
-    y = KScalar.y(rank)
-    den = one
-    for b in space.rs.positive_roots:
-        den = den * (one + y * KScalar.character(tuple(-c for c in b)))
-    point_op = fixed_point_class(space, K, w0)
-    table = {}
-    for w in space.points:
-        cls = apply_word_inverse_dl_right(w0 * w, point_op, dual=True)
-        num = KScalar.one(rank)
-        for _ in range(space.dim - w.length):
-            num = num * (-y)
-        table[w] = cls.scale(ScalarFraction.make(num, den))
+    if family == "smc" and side == "B":
+        return _over_ambient(space, K, table)
     return table
+
+
+def _over_ambient(space, theory, table):
+    """Every polynomial class of the table divided pointwise by the ambient
+    class.  Its restriction at v is a product of distinct irreducible
+    factors, so cancelling those that divide exactly leaves the reduced
+    fraction, with no gcd."""
+    factors = {v: space._ambient_factors(theory, v) for v in space.points}
+    amb = {v: space.ambient_restriction(theory, v) for v in space.points}
+
+    def quotient(v, f):
+        num, den = f.num, amb[v]
+        for p in factors[v]:
+            ok, q = divides_exactly(p, num)
+            if ok:
+                num, den = q, divides_exactly(p, den)[1]
+        return ScalarFraction(*_normalize_unit(num, den))
+    return {w: a.map_values(quotient) for w, a in table.items()}
 
 
 def _dual_basis_solve(space, mc_table):
@@ -464,8 +454,9 @@ def _verify_motivic(space, rep, corrupt=False):
                     yield ("i=%d w=%s opp" % (i, word_str(w.word)), lhs2, rhs2)
         rep.check("dual right DL on Segre motivic cells, both branches", smcr())
 
-        # B-side inverse-word closed form; the B side is built as the w0
-        # twist of the opposite family, so this is an independent identity
+        # B-side inverse-word closed form by the dual operators; the table
+        # is built by the plain ones and one division by lambda_y(T*X), so
+        # this is an independent identity
         def close_b():
             den_b = one
             for b in rs.positive_roots:

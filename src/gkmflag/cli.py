@@ -126,14 +126,19 @@ def cmd_pair(args):
     return 0
 
 
-def _quantum_reports(fixtures):
+def _fixture_names(fixtures):
+    if fixtures is None:
+        return ["gr24_qh_partial.json", "gr24_qk_partial.json"]
+    names = [name.strip() for name in fixtures.split(",")]
+    if not all(names):
+        raise UsageError("empty fixture name in --fixtures %r" % (fixtures,))
+    return names
+
+
+def _quantum_reports(names):
     reports = []
-    names = fixtures.split(",") if fixtures else [
-        "gr24_qh_partial.json",
-        "gr24_qk_partial.json",
-    ]
     for name in names:
-        table = quantum.load_fixture_table(name.strip())
+        table = quantum.load_fixture_table(name)
         reports.append(quantum.verify_table(table))
         reports.append(quantum.verify_quantum_relations(table))
     reports.append(quantum.verify_quantum_examples())
@@ -147,6 +152,7 @@ def cmd_verify(args):
         raise UsageError("--fixtures applies to the quantum and all suites only")
     if args.suite == "quantum" and (args.type or args.rank is not None or args.parabolic):
         raise UsageError("--type, --rank and --parabolic do not apply to the quantum suite")
+    names = _fixture_names(args.fixtures)
     reports = []
     if args.suite in ("operators", "csm", "motivic", "all"):
         space = _space(args)
@@ -159,12 +165,12 @@ def cmd_verify(args):
     if args.suite in ("motivic", "all"):
         reports.append(cls_mod.verify_class_theorems(space, kinds=("motivic",)))
     if args.suite in ("quantum", "all"):
-        reports.extend(_quantum_reports(args.fixtures))
+        reports.extend(_quantum_reports(names))
     return _report(args, reports)
 
 
 def cmd_quantum(args):
-    return _report(args, _quantum_reports(args.fixtures))
+    return _report(args, _quantum_reports(_fixture_names(args.fixtures)))
 
 
 def _report(args, reports):

@@ -93,17 +93,20 @@ class FlagSpace:
 
     def ambient_restriction(self, theory, v):
         """c(T_X)|_v for H, lambda_y(T_X^*)|_v for K."""
+        out = (CohScalar if theory == H else KScalar).one(self.rs.rank)
+        for f in self._ambient_factors(theory, v):
+            out = out * f
+        return out
+
+    def _ambient_factors(self, theory, v):
+        """The factors 1 + wt resp. 1 + y e^{v(alpha)} of the ambient
+        restriction at v, one per tangent direction: distinct and irreducible."""
         rank = self.rs.rank
         if theory == H:
-            out = CohScalar.one(rank)
-            for wt in self.tangent_weights(v):
-                out = out * (CohScalar.one(rank) + CohScalar.linear_form(wt))
-            return out
-        out = KScalar.one(rank)
-        y = KScalar.y(rank)
-        for b in self.complement_roots:
-            out = out * (KScalar.one(rank) + y * KScalar.character(v.act(b)))
-        return out
+            one = CohScalar.one(rank)
+            return [one + CohScalar.linear_form(wt) for wt in self.tangent_weights(v)]
+        one, y = KScalar.one(rank), KScalar.y(rank)
+        return [one + y * KScalar.character(v.act(b)) for b in self.complement_roots]
 
     def normalizer(self, theory, v):
         """The localization weight denominator at v."""

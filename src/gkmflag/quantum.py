@@ -446,12 +446,6 @@ def formal_leibniz_eval(facts, x):
             out = out * facts.sweyl[g]
         return out
 
-    def s_elem(x):
-        out = FormalQElem.zero(rank, kind)
-        for word, c in x.terms.items():
-            out = out + s_word(word).scale(weyl_act_scalar(si, c))
-        return out
-
     def delta_word(word):
         # unit: delta(1) = 0 in cohomology, 1 in K theory
         if not word:

@@ -598,7 +598,11 @@ def weyl_act_scalar(w, s):
     """The Weyl action on scalars: alpha -> w(alpha), e^l -> e^{w(l)};
     hbar and y are fixed.  Works on scalars and on their fractions."""
     if isinstance(s, ScalarFraction):
-        return ScalarFraction.make(weyl_act_scalar(w, s.num), weyl_act_scalar(w, s.den))
+        # a ring automorphism keeps a reduced fraction reduced: no gcd
+        num = weyl_act_scalar(w, s.num)
+        if s.den.is_one():
+            return ScalarFraction(num, s.den)
+        return ScalarFraction(*_normalize_unit(num, weyl_act_scalar(w, s.den)))
     return s.weight_pairing(w.images)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from gkmflag.classes import (
+    _dual_basis_solve,
     cell_family,
     csm_cell,
     homogenize_csm,
@@ -210,3 +211,20 @@ def test_left_built_tables_are_pushforwards(label, par):
         table = cell_family(space, family, "B").table
         for w in space.points:
             assert pushforward_parabolic(down[w], space) == table[w], (family, w)
+
+
+# On G/P the Segre motivic classes used to be solved from the duality with
+# the motivic Chern classes; that Gauss-Jordan solve is now the reference
+# for the operator recursion.
+DUAL_SOLVE_SPACES = [
+    ("A2", (1,)), ("B2", (1,)), ("B2", (2,)),
+    ("A3", (1, 2)), ("A3", (2, 3)), ("A3", (1, 3)),
+]
+
+
+@pytest.mark.parametrize("label,par", DUAL_SOLVE_SPACES,
+                         ids=["%s/%s" % (l, ",".join(map(str, p))) for l, p in DUAL_SOLVE_SPACES])
+def test_smc_matches_dual_basis_solve(label, par):
+    space = flag_space(label, par)
+    mc_b = cell_family(space, "mc", "B").table
+    assert cell_family(space, "smc", "Bminus").table == _dual_basis_solve(space, mc_b)

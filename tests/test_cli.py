@@ -208,6 +208,15 @@ def test_fixtures_outside_quantum_suites_exits_2(capsys):
     assert "--fixtures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixtures", ["", ",", "gr24_qh_partial.json, "])
+@pytest.mark.parametrize("command", [["quantum"], ["verify", "--suite", "quantum"]])
+def test_empty_fixture_name_exits_2(capsys, command, fixtures):
+    rc = main(command + ["--fixtures", fixtures])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
 def test_space_options_on_quantum_suite_exit_2():
     assert main(["verify", "--suite", "quantum", "--type", "A", "--rank", "1"]) == 2
 

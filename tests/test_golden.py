@@ -1,0 +1,55 @@
+"""Byte-for-byte pins of command output.
+
+Each command runs in-process through ``cli.main``; the sha256 of its stdout
+must equal the recorded hash.  The hashes were taken from the CLI before the
+Segre motivic tables moved to the operator recursion, so any change of a
+table, an expansion, a report or a witness label in these outputs fails
+here.  When an output changes on purpose, re-record its hash with
+``gkmflag <command> | sha256sum`` and say why in the change log.
+"""
+
+import hashlib
+
+import pytest
+
+from gkmflag.cli import main
+
+GOLDEN = [
+    ("classes --type A --rank 2 --family smc",
+     "042af53ab173b81ec22244b40e834a8078d71f4c8c7fd1cda2046a4f7aa16ecb"),
+    ("classes --type A --rank 2 --family smc --side B --format csv",
+     "c844448c67280009261c55ef9a7a270113e6061e717e6a6ebd2ef317cce1a7dc"),
+    ("classes --type A --rank 3 --parabolic 2,3 --family smc",
+     "700407eaed4db2279aef5a0feec14f7516362194cf3713e52e36fdc4c5669942"),
+    ("classes --type B --rank 2 --parabolic 2 --family smc --format latex",
+     "b2e3c73209256a005e5ada78f7ea77470fbc1c5ef70f490690d7f284a52052d1"),
+    ("classes --type A --rank 2 --family sm",
+     "ab832ea0a0d97cffa1673fb331b654d206a376338fc872814f9c5a66a7e5042f"),
+    ("classes --type A --rank 3 --parabolic 1,3 --family csm",
+     "ef709e38ce6f8ccbc5a5e8d6b55c60018217e8569c8c28d8ca7b0e050fc6e0cf"),
+    ("classes --type A --rank 2 --family csm --side Bminus --format latex",
+     "1b920dbfba0e985bfe7cccb8c9f2cc7b39ff56ec8531619d6fc08c63a9c420d0"),
+    ("classes --type G --rank 2 --family kschubert-b",
+     "58362ead0e0eab80c2d1358876d77d872ee773093d5d1b9af0ee748eed00c9bf"),
+    ("pair --type A --rank 3 --parabolic 1,2 --family mc,smc",
+     "cccb5a5211dd54b852b61cbe3aa1c38e50f02f60d373fe851480889cfdf13b7b"),
+    ("pair --type A --rank 2 --family mc,smc --format csv",
+     "5d13eafdaf9b0e3369681a2281bc9f8394079e04bb1973146ca23d58390733ee"),
+    ("verify --suite motivic --type A --rank 2",
+     "74e61b259fb24a23fff051dcace8991d9883c213eee9334f846603bc93abdf6b"),
+    ("verify --suite motivic --type A --rank 2 --parabolic 1",
+     "10704d13e4f07d8678ce0996ff4a4c576e5403e37ef78733ecce50fcced23e6f"),
+    ("verify --suite motivic --type B --rank 2 --parabolic 2",
+     "feb6ee5f0e28eefde14ef0747d098c9cc8160f143635d82f635fe3da077ea077"),
+    ("verify --suite operators --type A --rank 2",
+     "e842459125fb14305843e486352f2d8a111cfb89af7930aaf81c6ef7120b2c96"),
+    ("quantum",
+     "6af5c04dd3cd90cdc7804d59c8d813aa77c8a99bbad2060f84ff0ffd2be03a38"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_stdout_matches_recorded_hash(capsys, command, digest):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

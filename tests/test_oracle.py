@@ -27,11 +27,14 @@ def _classes(space, family, fmt="json"):
 
 
 def _jobs():
-    # smc on B2 and A3/{1,3} takes about 15 s each (the Segre solve)
+    # smc on B2 and A3/{1,3} takes 5 to 12 s per export, nearly all of it
+    # in the Schubert expansion (model.expand_schubert), not the table
     for space in ("A1", "A2", "B2", "A3/1,3"):
         for family in FAMILIES:
             if family != "smc" or space in ("A1", "A2"):
                 yield _classes(space, family)
+    for space in ("A2/1", "B2/1", "B2/2", "A3/1,2", "A3/2,3"):
+        yield _classes(space, "smc")
     for fmt in ("csv", "latex"):
         for family in FAMILIES:
             yield _classes("A2", family, fmt)
