@@ -41,7 +41,6 @@ from .model import (
     schubert_class,
 )
 from .operators import (
-    OperatorSpec,
     VerificationReport,
     apply_word,
     bgg_left,

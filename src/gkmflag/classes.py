@@ -40,10 +40,11 @@ from .operators import (
     VerificationReport,
     _each_iw,
     _space_label,
-    apply_word_inverse_dl_right,
+    apply_word,
     dl_left,
     dl_left_homogenized,
     dl_right,
+    dl_right_inverse,
     weyl_left,
 )
 from .roots import word_str
@@ -410,9 +411,6 @@ def _verify_motivic(space, rep, corrupt=False):
         rep.check("right DL on motivic cells, both branches", mcr())
 
         w0 = rs.longest_element
-        from .operators import OperatorSpec, apply_word
-
-        spec = OperatorSpec("R", "dl")
         point_b = fixed_point_class(space, K, rs.identity)
         point_op = fixed_point_class(space, K, w0)
         rep.check(
@@ -423,12 +421,12 @@ def _verify_motivic(space, rep, corrupt=False):
                 for entry in (
                     (
                         "w=%s" % word_str(w.word),
-                        apply_word(spec, w.inverse(), point_b),
+                        apply_word(dl_right, w.inverse(), point_b),
                         mc[w],
                     ),
                     (
                         "w=%s opp" % word_str(w.word),
-                        apply_word(spec, w.inverse() * w0, point_op),
+                        apply_word(dl_right, w.inverse() * w0, point_op),
                         mc_op[w],
                     ),
                 )
@@ -462,7 +460,7 @@ def _verify_motivic(space, rep, corrupt=False):
             for b in rs.positive_roots:
                 den_b = den_b * (one + y * KScalar.character(b))
             for w in pts:
-                cls = apply_word_inverse_dl_right(w, point_b, dual=True)
+                cls = apply_word(lambda i, b: dl_right_inverse(i, b, dual=True), w.inverse(), point_b)
                 fac = braid_factor(w.length).div_scalar(den_b)
                 yield ("w=%s" % word_str(w.word), cls.scale(fac), smc_b[w])
         rep.check("Segre motivic inverse-word closed form, B side", close_b())

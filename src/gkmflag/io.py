@@ -20,7 +20,7 @@ import os
 from json.encoder import encode_basestring_ascii as _escape
 
 from .model import LocalizedClass, flag_space
-from .roots import parse_word, word_str
+from .roots import word_str
 from .scalars import (
     fraction_from_json,
     fraction_to_json,
@@ -41,6 +41,20 @@ def space_from_json(doc):
     return flag_space(
         "%s%d" % (doc["type"], doc["rank"]), tuple(doc.get("parabolic", ()))
     )
+
+
+def point_parser(space):
+    """A function from a fixed point's label, ``word_str`` of its word, to
+    the point.  Any other text raises ValueError naming it, so that another
+    word of a point, or of an element that is not a minimal coset
+    representative, is not silently read as some point."""
+    points = {word_str(w.word): w for w in space.points}
+
+    def point(label):
+        if label not in points:
+            raise ValueError("no fixed point of %r has the label %r" % (space, label))
+        return points[label]
+    return point
 
 
 def class_values_json(a):
@@ -86,14 +100,14 @@ def class_table_document(space, theory, family, side, table, expansions=None):
 def load_class_table(doc):
     """Re-ingest a class-table document into localized classes."""
     space = space_from_json(doc["space"])
+    point = point_parser(space)
     theory = doc["theory"]
     rank = space.rs.rank
     out = {}
     for entry in doc["entries"]:
         vals = {}
         for item in entry["values"]:
-            v = space.rep(space.rs.from_word(parse_word(item["label"])))
-            vals[v] = fraction_from_json(item["value"], theory, rank)
+            vals[point(item["label"])] = fraction_from_json(item["value"], theory, rank)
         out[entry["label"]] = LocalizedClass(space, theory, vals)
     return space, theory, out
 

@@ -36,11 +36,31 @@ step to a kernel; the kernel loops over the fixed points.  Applying any of
 these to a class with polynomial restrictions must produce polynomial
 restrictions again; the kernels assert that closure after every application
 and a violation raises NonDivisibilityError.
+
+Word operators: ``apply_word(op, word, a)`` applies op_{i1} ... op_{im} to a,
+rightmost letter first, for any single-letter operator ``op(i, a)``; for
+instance ``apply_word(lambda i, b: demazure_left(i, b, dual=True), w, a)``,
+or the inverse right DL word ``apply_word(lambda i, b: dl_right_inverse(i, b,
+dual=True), w.inverse(), a)``.  The Weyl family needs no word:
+``weyl_left(rs.from_word(word), a)``.
+
+Leibniz rule: a left divided difference is delta = (1 - t s)/(1 - t) in K,
+with t = e^{alpha_i} (dual: e^{-alpha_i}), and (1 - s)/alpha_i in H.  Since
+ab - t s(a)s(b) = (a - t s(a))b + t s(a)(b - s(b)) and
+b - s(b) = (1 - t)(delta(b) - s(b)),
+
+  K:  delta(ab) = delta(a) b + t s(a) (delta(b) - s(b));
+  H:  delta(ab) = delta(a) b + s(a) delta(b)   (t = 1, with alpha_i for 1 - t).
+
+``leibniz_rhs`` states this once, for any product: classes, quantum
+classes through a structure table, and formal products.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 from .model import H, K, LocalizedClass, fixed_point_class, pair
 from .roots import word_str
@@ -248,78 +268,43 @@ def dl_right_inverse(i, a, dual=False):
 # word application
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Which operator family to apply: side L/R, family name, dual flag."""
-
-    side: str                  # "L" or "R"
-    family: str                # "weyl", "demazure", "dl", "dl_hbar"
-    dual: bool = False
-
-    def resolve(self, theory):
-        if self.family == "weyl":
-            return None
-        table = {
-            ("L", "demazure", H): lambda i, a: bgg_left(i, a),
-            ("R", "demazure", H): lambda i, a: bgg_right(i, a),
-            ("L", "demazure", K): lambda i, a: demazure_left(i, a, dual=self.dual),
-            ("R", "demazure", K): lambda i, a: demazure_right(i, a),
-            ("L", "dl", H): lambda i, a: dl_left(i, a, dual=self.dual),
-            ("R", "dl", H): lambda i, a: dl_right(i, a, dual=self.dual),
-            ("L", "dl", K): lambda i, a: dl_left(i, a, dual=self.dual),
-            ("R", "dl", K): lambda i, a: dl_right(i, a, dual=self.dual),
-            ("L", "dl_hbar", H): lambda i, a: dl_left_homogenized(i, a),
-        }
-        key = (self.side, self.family, theory)
-        if key not in table:
-            raise ValueError("no operator for %r in theory %s" % (self, theory))
-        return table[key]
-
-
-def apply_word(spec, word_or_element, a):
-    """Apply the word operator (rightmost letter acts first).
+def apply_word(op, word_or_element, a):
+    """Apply the word operator op_{i1} ... op_{im} (rightmost letter acts
+    first), where ``op(i, a)`` applies one letter.
 
     For an element the canonical reduced word is used; an explicit word is
     rejected unless it is reduced.  Braid relations make the result
     independent of the choice of reduced word.
     """
-    rs = a.space.rs
     if hasattr(word_or_element, "word"):
         word = word_or_element.word
     else:
         word = tuple(word_or_element)
-        if rs.from_word(word).length != len(word):
+        if a.space.rs.from_word(word).length != len(word):
             raise NonReducedWordError("word %s is not reduced" % (word_str(word),))
-    if spec.family == "weyl":
-        w = rs.from_word(word)
-        return weyl_left(w, a) if spec.side == "L" else weyl_right(w, a)
-    op = spec.resolve(a.theory)
-    out = a
     for i in reversed(word):
-        out = op(i, out)
-    return out
+        a = op(i, a)
+    return a
 
 
-def apply_word_inverse_dl_right(word_or_element, a, dual=False):
-    """Apply the inverse of the right DL word operator.
-
-    (T_{i1} ... T_{im})^{-1} applies the single-letter inverses left to
-    right: first T_{i1}^{-1}, then T_{i2}^{-1}, and so on.
-    """
-    word = (
-        word_or_element.word
-        if hasattr(word_or_element, "word")
-        else tuple(word_or_element)
-    )
-    out = a
-    for i in word:
-        out = dl_right_inverse(i, out, dual=dual)
-    return out
+def braid_words(rs):
+    """(i, j, word, word') for each pair i < j of simple indices: the two
+    alternating words of length m_ij, equal in the Weyl group."""
+    for i in range(1, rs.rank + 1):
+        for j in range(i + 1, rs.rank + 1):
+            m = {0: 2, 1: 3, 2: 4, 3: 6}[rs.cartan[i - 1][j - 1] * rs.cartan[j - 1][i - 1]]
+            word = tuple((i, j)[t % 2] for t in range(m))
+            yield i, j, word, tuple((j, i)[t % 2] for t in range(m))
 
 
-def braid_order(rs, i, j):
-    c = rs.cartan[i - 1][j - 1] * rs.cartan[j - 1][i - 1]
-    return {0: 2, 1: 3, 2: 4, 3: 6}[c]
+def leibniz_rhs(mul, da, b, sa, db, sb, t=None):
+    """The Leibniz rule's right-hand side for delta(ab), given delta and s on
+    each factor: delta(a)b + s(a)delta(b) in H (``t`` None), and
+    delta(a)b + t s(a)(delta(b) - s(b)) in K, where delta = (1 - t s)/(1 - t).
+    ``mul`` multiplies two factors; ``sb`` is read only in K."""
+    if t is None:
+        return mul(da, b) + mul(sa, db)
+    return mul(da, b) + (mul(sa, db) - mul(sa, sb)).scale(t)
 
 
 def all_reduced_words(w):
@@ -407,67 +392,48 @@ def verify_relations(space, theory, corrupt=False):
     rank = rs.rank
     one = KScalar.one(rank) if theory == K else CohScalar.one(rank)
 
-    def quad_defect(op, b):
+    def quad_defect(op, i, b):
         # (T^2 - id) b in H; (T + 1)(T + y) b in K
+        tb = op(i, b)
         if theory == H:
-            d = op(op(b)) - b
+            d = op(i, tb) - b
         else:
             y = KScalar.y(rank)
-            tb = op(b)
-            d = op(tb) + tb.scale(one + y) + b.scale(y)
+            d = op(i, tb) + tb.scale(one + y) + b.scale(y)
         return d + b.scale(2) if corrupt else d
 
-    sides = [("L", False), ("L", True)] + ([("R", False), ("R", True)] if is_full else [])
-
-    def make_op(side, dual):
-        if side == "L":
-            return lambda i, b: dl_left(i, b, dual=dual)
-        return lambda i, b: dl_right(i, b, dual=dual)
+    sides = [
+        ("T^%s%s" % (side, ",dual" if dual else ""), partial(fn, dual=dual))
+        for side, fn in [("L", dl_left)] + ([("R", dl_right)] if is_full else [])
+        for dual in (False, True)
+    ]
 
     # quadratic relations
     zero = LocalizedClass.zero(space, theory)
-    for side, dual in sides:
-        op = make_op(side, dual)
-        rep.check(
-            "quadratic T^%s%s" % (side, ",dual" if dual else ""),
-            _each_iw(space, lambda i, w: (quad_defect(lambda x: op(i, x), basis[w]), zero)),
-        )
+    for name, op in sides:
+        rep.check("quadratic " + name,
+                  _each_iw(space, lambda i, w: (quad_defect(op, i, basis[w]), zero)))
 
     # braid relations
-    for side, dual in sides:
-        op = make_op(side, dual)
-        name = "braid T^%s%s" % (side, ",dual" if dual else "")
-
-        def gen_braid(op=op):
-            for i in idx:
-                for j in idx:
-                    if i >= j:
-                        continue
-                    m = braid_order(rs, i, j)
-                    seq_i = [(i if t % 2 == 0 else j) for t in range(m)]
-                    seq_j = [(j if t % 2 == 0 else i) for t in range(m)]
-                    for w, b in basis.items():
-                        lhs = b
-                        for t in reversed(seq_i):
-                            lhs = op(t, lhs)
-                        rhs = b
-                        for t in reversed(seq_j):
-                            rhs = op(t, rhs)
-                        yield ("(%d,%d) w=%s" % (i, j, word_str(w.word)), lhs, rhs)
-        rep.check(name, gen_braid())
+    for name, op in sides:
+        rep.check("braid " + name, (
+            ("(%d,%d) w=%s" % (i, j, word_str(w.word)), apply_word(op, wi, b), apply_word(op, wj, b))
+            for i, j, wi, wj in braid_words(rs)
+            for w, b in basis.items()
+        ))
 
     # divided-difference squares and left/right commutation
-    dleft = (lambda i, b: bgg_left(i, b)) if theory == H else (lambda i, b: demazure_left(i, b))
+    dleft = bgg_left if theory == H else demazure_left
 
     def square(op):
         # d_i^2 = 0 in H, d_i^2 = d_i in K
         return lambda i, w: (
             op(i, op(i, basis[w])),
-            LocalizedClass.zero(space, theory) if theory == H else op(i, basis[w]),
+            zero if theory == H else op(i, basis[w]),
         )
     rep.check("delta_i square", _each_iw(space, square(dleft)))
     if is_full:
-        dright = (lambda i, b: bgg_right(i, b)) if theory == H else (lambda i, b: demazure_right(i, b))
+        dright = bgg_right if theory == H else demazure_right
         rep.check("partial_i square", _each_iw(space, square(dright)))
         rep.check(
             "delta_i partial_j commute",
@@ -602,21 +568,13 @@ def verify_relations(space, theory, corrupt=False):
     def gen_leibniz():
         for i in idx:
             si = rs.simple(i)
+            t = None if theory == H else KScalar.character(rs.simple_root(i))
+            d = {w: dleft(i, b) for w, b in pairs_src}
+            s = {w: weyl_left(si, b) for w, b in pairs_src}
             for w, b in pairs_src:
                 for u, c in small:
-                    prod = b * c
-                    lhs = dleft(i, prod)
-                    if theory == H:
-                        rhs = bgg_left(i, b) * c + weyl_left(si, b) * bgg_left(i, c)
-                    else:
-                        e = KScalar.character(rs.simple_root(i))
-                        sb = weyl_left(si, b)
-                        rhs = (
-                            demazure_left(i, b) * c
-                            + (sb * demazure_left(i, c)).scale(e)
-                            - (sb * weyl_left(si, c)).scale(e)
-                        )
-                    yield ("i=%d (%s,%s)" % (i, word_str(w.word), word_str(u.word)), lhs, rhs)
+                    yield ("i=%d (%s,%s)" % (i, word_str(w.word), word_str(u.word)),
+                           dleft(i, b * c), leibniz_rhs(operator.mul, d[w], c, s[w], d[u], s[u], t))
     rep.check("delta Leibniz rule", gen_leibniz())
 
     if theory == K:
@@ -633,17 +591,17 @@ def verify_relations(space, theory, corrupt=False):
         rep.check("T^L Leibniz rule", gen_dl_leibniz())
 
     # reduced-word independence of the word operators
-    spec = OperatorSpec("R" if is_full else "L", "dl")
+    dl = dl_right if is_full else dl_left
     seed = basis[points[0]]  # the point class
 
     def gen_words():
         elements = points if is_full else [x for x in points if x.length <= 4]
         for w in elements:
             words = all_reduced_words(w)
-            base = apply_word(spec, words[0], seed)
+            base = apply_word(dl, words[0], seed)
             for wd in words[1:]:
                 yield ("w=%s word=%s" % (word_str(w.word), word_str(wd)),
-                       apply_word(spec, wd, seed), base)
+                       apply_word(dl, wd, seed), base)
     rep.check("word operators independent of reduced word", gen_words())
 
     return rep

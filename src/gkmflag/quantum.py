@@ -19,13 +19,17 @@ are produced by the classical localization modules, not entered by hand.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import partial
 
+from .io import point_parser, space_from_json
 from .model import (
     H,
     K,
     _as_fraction,
     _one_fraction,
+    expand_schubert,
     first_chern_class,
     flag_space,
     pair,
@@ -33,8 +37,17 @@ from .model import (
     schubert_class,
     SchubertExpansion,
 )
-from .operators import VerificationReport, bgg_left, demazure_left, weyl_left, _space_label
-from .roots import parse_word, word_str
+from .operators import (
+    VerificationReport,
+    _space_label,
+    apply_word,
+    bgg_left,
+    braid_words,
+    demazure_left,
+    leibniz_rhs,
+    weyl_left,
+)
+from .roots import word_str
 from .scalars import (
     CohScalar,
     KScalar,
@@ -102,7 +115,8 @@ def quantum_degrees(space):
     degs = {}
     for i in qnodes:
         val = pair(c1, schubert_class(space, H, space.rs.simple(i)))
-        assert val.is_polynomial() and val.num.is_constant()
+        if not (val.is_polynomial() and val.num.is_constant()):
+            raise ArithmeticError("degree of q_%d is not an integer" % i)
         degs[i] = int(val.num.constant_value())
     return qnodes, degs
 
@@ -126,22 +140,20 @@ def load_table(doc):
 
 
 def _parse_table(doc):
-    spdoc = doc["space"]
-    space = flag_space(
-        "%s%d" % (spdoc["type"], spdoc["rank"]), tuple(spdoc.get("parabolic", ()))
-    )
+    space = space_from_json(doc["space"])
+    point = point_parser(space)
     theory = doc["theory"]
     cls_theory = _classical_theory(theory)
     qnodes, qdegs = quantum_degrees(space)
     if doc.get("qdeg_arity", len(qnodes)) != len(qnodes):
         raise TableValidationError("qdeg_arity does not match the space")
     rank = space.rs.rank
-    rs = space.rs
 
     def element(label):
-        w = rs.from_word(parse_word(label))
-        w = space.rep(w)
-        return w
+        try:
+            return point(label)
+        except ValueError as exc:
+            raise TableValidationError(str(exc)) from exc
 
     entries = {}
     for ent in doc.get("entries", ()):
@@ -187,8 +199,6 @@ def _validate_table(table, qdegs):
             continue
         # classical limit against the localization product
         classical = {w: c for w, qd, c in terms if qd == zero_q}
-        from .model import expand_schubert
-
         product = expand_schubert(basis[u] * basis[v], side="Bminus")
         for w in space.points:
             got = classical.get(w)
@@ -308,8 +318,6 @@ def _per_degree(op, a):
     cls_theory = _classical_theory(a.theory)
     side = "Bminus"
     out = {}
-    from .model import expand_schubert
-
     for qd, exp in a.terms.items():
         cls = rebuild_from_expansion(
             SchubertExpansion(a.space, cls_theory, side, exp)
@@ -422,23 +430,29 @@ class GeneratorFacts:
 
 def formal_leibniz_eval(facts, x):
     """Evaluate the left divided difference on a formal product by the
-    Leibniz rule (two-term in cohomology, three-term in K theory)."""
+    Leibniz rule (two-term in cohomology, three-term in K theory), over the
+    generators of each word and then over its scalar coefficient."""
     rank = facts.rs.rank
     kind = facts.kind
     si = facts.rs.simple(facts.i)
     alpha = facts.rs.simple_root(facts.i)
+    one = _one_fraction(rank, kind)
 
     if kind == H:
+        t = None
         alpha_f = ScalarFraction.from_scalar(CohScalar.linear_form(alpha))
 
         def dd_scalar(c):
             return (c - weyl_act_scalar(si, c)) / alpha_f
     else:
         t = ScalarFraction.from_scalar(KScalar.character(tuple(-a for a in alpha)))
-        den = _one_fraction(rank, kind) - t
+        den = one - t
 
         def dd_scalar(c):
             return (c - t * weyl_act_scalar(si, c)) / den
+
+    def monomial(word):
+        return FormalQElem(rank, kind, {word: one})
 
     def s_word(word):
         out = FormalQElem.unit(rank, kind)
@@ -456,38 +470,13 @@ def formal_leibniz_eval(facts, x):
         dg = facts.delta.get(g)
         if dg is None:
             raise KeyError("no operator fact for generator %r" % (g,))
-        sg = facts.sweyl[g]
-        if not rest:
-            return dg
-        b_delta = delta_word(rest)
-        if kind == H:
-            return dg * FormalQElem(rank, kind, {rest: _one_fraction(rank, kind)}) + sg * b_delta
-        t = ScalarFraction.from_scalar(KScalar.character(tuple(-a for a in alpha)))
-        rest_elem = FormalQElem(rank, kind, {rest: _one_fraction(rank, kind)})
-        s_rest = s_word(rest)
-        return (
-            dg * rest_elem
-            + (sg * b_delta).scale(t)
-            - (sg * s_rest).scale(t)
-        )
+        return leibniz_rhs(operator.mul, dg, monomial(rest), facts.sweyl[g],
+                           delta_word(rest), s_word(rest), t)
 
     out = FormalQElem.zero(rank, kind)
     for word, c in x.terms.items():
-        dword = delta_word(word)
-        word_elem = FormalQElem(rank, kind, {word: _one_fraction(rank, kind)})
-        if kind == H:
-            out = out + word_elem.scale(dd_scalar(c)) + dword.scale(weyl_act_scalar(si, c))
-        else:
-            t = ScalarFraction.from_scalar(
-                KScalar.character(tuple(-a for a in alpha))
-            )
-            sc = weyl_act_scalar(si, c) * t
-            out = (
-                out
-                + word_elem.scale(dd_scalar(c))
-                + dword.scale(sc)
-                - s_word(word).scale(sc)
-            )
+        out = out + leibniz_rhs(lambda f, e: e.scale(f), dd_scalar(c), monomial(word),
+                                weyl_act_scalar(si, c), delta_word(word), s_word(word), t)
     return out
 
 
@@ -504,7 +493,6 @@ def generator_facts(space, theory, i, generators):
     rank = space.rs.rank
     basis = space.schubert_basis(cls_theory, "Bminus")
     names = {w: name for name, w in generators.items()}
-    from .model import expand_schubert
 
     def to_formal(cls):
         exp = expand_schubert(cls, side="Bminus")
@@ -544,6 +532,7 @@ def verify_table(table):
     rs = space.rs
     rep = VerificationReport("quantum:%s" % theory, _space_label(space))
     arity = len(table.qnodes)
+    op = quantum_delta if theory == QH else quantum_demazure_dual
     checked = 0
     skipped = []
     for (u, v) in list(table.entries):
@@ -552,24 +541,11 @@ def verify_table(table):
             b = QuantumClass.basis_element(space, theory, b_el, arity=arity)
             for i in range(1, rs.rank + 1):
                 si = rs.simple(i)
+                t = None if theory == QH else KScalar.character(tuple(-c for c in rs.simple_root(i)))
                 try:
-                    prod = q_multiply(table, a, b)
-                    if theory == QH:
-                        lhs = quantum_delta(i, prod)
-                        rhs = q_multiply(table, quantum_delta(i, a), b) + q_multiply(
-                            table, weyl_left_q(si, a), quantum_delta(i, b)
-                        )
-                    else:
-                        lhs = quantum_demazure_dual(i, prod)
-                        t = KScalar.character(
-                            tuple(-c for c in rs.simple_root(i))
-                        )
-                        sa = weyl_left_q(si, a)
-                        rhs = (
-                            q_multiply(table, quantum_demazure_dual(i, a), b)
-                            + q_multiply(table, sa, quantum_demazure_dual(i, b)).scale(t)
-                            - q_multiply(table, sa, weyl_left_q(si, b)).scale(t)
-                        )
+                    lhs = op(i, q_multiply(table, a, b))
+                    rhs = leibniz_rhs(partial(q_multiply, table), op(i, a), b, weyl_left_q(si, a),
+                                      op(i, b), weyl_left_q(si, b), t)
                 except MissingProductError as exc:
                     skipped.append(
                         "i=%d (%s,%s) needs %s"
@@ -715,8 +691,6 @@ def verify_quantum_relations(table):
     """Braid and quadratic relations of the quantum operators over the basis
     tensored with small q-degrees; these act degree-wise, so this pins the
     q-linear extension."""
-    from .operators import braid_order
-
     space, theory = table.space, table.theory
     rs = space.rs
     rep = VerificationReport("quantum-relations:%s" % theory, _space_label(space))
@@ -739,20 +713,11 @@ def verify_quantum_relations(table):
     rep.check("quantum delta squares", gen_idem())
 
     def gen_braid():
-        for i in range(1, rs.rank + 1):
-            for j in range(i + 1, rs.rank + 1):
-                m = braid_order(rs, i, j)
-                seq_i = [(i if t % 2 == 0 else j) for t in range(m)]
-                seq_j = [(j if t % 2 == 0 else i) for t in range(m)]
-                for w in space.points:
-                    qd = (1,) + (0,) * (arity - 1) if arity else ()
-                    a = QuantumClass.basis_element(space, theory, w, qdeg=qd)
-                    lhs = a
-                    for t in reversed(seq_i):
-                        lhs = op(t, lhs)
-                    rhs = a
-                    for t in reversed(seq_j):
-                        rhs = op(t, rhs)
-                    yield ("(%d,%d) w=%s" % (i, j, word_str(w.word)), lhs, rhs)
+        qd = (1,) + (0,) * (arity - 1) if arity else ()
+        for i, j, wi, wj in braid_words(rs):
+            for w in space.points:
+                a = QuantumClass.basis_element(space, theory, w, qdeg=qd)
+                yield ("(%d,%d) w=%s" % (i, j, word_str(w.word)),
+                       apply_word(op, wi, a), apply_word(op, wj, a))
     rep.check("quantum delta braid relations", gen_braid())
     return rep

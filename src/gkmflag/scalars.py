@@ -638,7 +638,8 @@ class ScalarFraction:
             if not g.is_one():
                 ok, num = divides_exactly(g, num)
                 ok2, den = divides_exactly(g, den)
-                assert ok and ok2
+                if not (ok and ok2):
+                    raise ArithmeticError("gcd does not divide the fraction")
             num, den = _normalize_unit(num, den)
         return cls(num, den)
 

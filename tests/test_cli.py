@@ -201,6 +201,22 @@ def test_unreadable_fixture_table_exits_2(tmp_path, capsys, command, content):
     assert err.startswith("invalid table: ") and str(path) in err
 
 
+@pytest.mark.parametrize("label", ["2-1-1", "2-3-3", "1"])
+def test_non_minimal_table_label_exits_2(tmp_path, capsys, label):
+    from gkmflag.quantum import fixture_dir
+
+    with open(os.path.join(fixture_dir(), "gr24_qh_partial.json")) as f:
+        doc = json.load(f)
+    doc["entries"][0]["u"] = label
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["quantum", "--fixtures", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("invalid table: ") and captured.err.count("\n") == 1
+    assert "the label '%s'" % label in captured.err
+
+
 def test_fixtures_outside_quantum_suites_exits_2(capsys):
     rc = main(["verify", "--suite", "operators", "--type", "A", "--rank", "1",
                "--fixtures", "/nonexistent/x.json"])

@@ -2,9 +2,10 @@
 
 Each command runs in-process through ``cli.main``; the sha256 of its stdout
 must equal the recorded hash.  The hashes were taken from the CLI before the
-Segre motivic tables moved to the operator recursion, so any change of a
-table, an expansion, a report or a witness label in these outputs fails
-here.  When an output changes on purpose, re-record its hash with
+Segre motivic tables moved to the operator recursion, and the last two
+before word operators, braid words and the Leibniz rule were each stated
+once, so any change of a table, an expansion, a report or a witness label
+in these outputs fails here.  When an output changes on purpose, re-record its hash with
 ``gkmflag <command> | sha256sum`` and say why in the change log.
 """
 
@@ -45,6 +46,12 @@ GOLDEN = [
      "e842459125fb14305843e486352f2d8a111cfb89af7930aaf81c6ef7120b2c96"),
     ("quantum",
      "6af5c04dd3cd90cdc7804d59c8d813aa77c8a99bbad2060f84ff0ffd2be03a38"),
+    # left word operators and braid relations on G/P
+    ("verify --suite operators --type A --rank 3 --parabolic 1,3",
+     "f8276a787b134a5999c55838173b2b42d04dd3a38185d368162bb2417dfb2da9"),
+    # braid order 4 and the K Leibniz rule
+    ("verify --suite operators --type B --rank 2",
+     "3a23699707c1774d777c197aea1d11368ad2601afccb4f0e7daa80dceee7147c"),
 ]
 
 

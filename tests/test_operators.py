@@ -13,7 +13,6 @@ from gkmflag.model import (
 from gkmflag.operators import (
     NonDivisibilityError,
     NonReducedWordError,
-    OperatorSpec,
     RightOperatorOnParabolicError,
     apply_word,
     bgg_left,
@@ -229,23 +228,37 @@ def test_operator_guards(op, kwargs, kind, theory, exc, match):
 
 
 def test_apply_word(a1):
-    spec = OperatorSpec("R", "dl")
     b = fixed_point_class(a1, H, a1.points[0])
-    assert apply_word(spec, (), b) == b
+    assert apply_word(dl_right, (), b) == b
     a2 = flag_space("A2")
     base = fixed_point_class(a2, H, a2.rs.identity)
-    lhs = apply_word(spec, (1, 2, 1), base)
-    rhs = apply_word(spec, (2, 1, 2), base)
+    lhs = apply_word(dl_right, (1, 2, 1), base)
+    rhs = apply_word(dl_right, (2, 1, 2), base)
     assert lhs == rhs
-    assert apply_word(spec, a2.rs.longest_element, base) == lhs
+    assert apply_word(dl_right, a2.rs.longest_element, base) == lhs
     with pytest.raises(NonReducedWordError):
-        apply_word(spec, (1, 1), base)
+        apply_word(dl_right, (1, 1), base)
     # dl words generate csm classes from the point class
     from gkmflag.classes import cell_family
 
     csm = cell_family(a2, "csm", "B")
     for w in a2.points:
-        assert apply_word(spec, w.inverse(), base) == csm[w]
+        assert apply_word(dl_right, w.inverse(), base) == csm[w]
+    # the inverse word operator undoes a dl word
+    for space in (a2, flag_space("B2")):
+        for theory in (H, K):
+            cls = space.schubert_basis(theory, "Bminus")[space.points[1]]
+            for dual in (False, True):
+                for w in space.points:
+                    img = apply_word(lambda i, x: dl_right(i, x, dual=dual), w, cls)
+                    back = apply_word(lambda i, x: dl_right_inverse(i, x, dual=dual), w.inverse(), img)
+                    assert back == cls
+    # left dl words generate csm classes on G/P
+    gr24 = flag_space("A3", (1, 3))
+    point = fixed_point_class(gr24, H, gr24.rs.identity)
+    csm = cell_family(gr24, "csm", "B")
+    for w in gr24.points:
+        assert apply_word(dl_left, w, point) == csm[w]
 
 
 def test_k_linearity_of_right_demazure(a1):

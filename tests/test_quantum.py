@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +59,26 @@ def test_quantum_degrees(gr24):
     assert degs == {2: 4}
 
 
+def test_non_integral_degree_raises_under_optimize():
+    # a pairing that is not a constant is no degree; the check must not be an
+    # assert, which ``python -O`` strips, leaving degree 0
+    code = (
+        "import gkmflag.quantum as q\n"
+        "from gkmflag.model import flag_space\n"
+        "from gkmflag.scalars import CohScalar, ScalarFraction\n"
+        "q.pair = lambda a, b: ScalarFraction.from_scalar(CohScalar.linear_form((1, 0, 0)))\n"
+        "try:\n"
+        "    print(q.quantum_degrees(flag_space('A3', (1, 3))))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised: degree of q_2 is not an integer\n"
+
+
 def test_load_table_validates(qh_table, qk_table):
     assert len(qh_table.entries) == 2
     assert len(qk_table.entries) == 2
@@ -111,6 +133,17 @@ def test_bad_unit_row_rejected():
         ],
     }
     with pytest.raises(TableValidationError):
+        load_table(doc)
+
+
+@pytest.mark.parametrize("label", ["2-1-1", "2-3-3", "1"])
+def test_non_minimal_labels_rejected(label):
+    # another word of the point 2, and a word of s1, which is no minimal coset
+    # representative on A3/{1,3}; neither may be read as some point
+    doc = copy.deepcopy(fixture_doc("gr24_qh_partial.json"))
+    assert doc["entries"][0]["u"] == "2"
+    doc["entries"][0]["u"] = label
+    with pytest.raises(TableValidationError, match="has the label '%s'$" % label):
         load_table(doc)
 
 

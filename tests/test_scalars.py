@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -180,3 +183,21 @@ def test_render_smoke():
     assert repr(f) == "Frac(E[a1] + 1)"
     a = CohScalar.linear_form((1, 1)) + CohScalar.hbar(2)
     assert "a1" in repr(a) and "h" in repr(a)
+
+
+def test_non_dividing_gcd_raises_under_optimize():
+    # the check must not be an assert, which ``python -O`` strips
+    code = (
+        "import gkmflag.scalars as s\n"
+        "s.divides_exactly = lambda a, b: (False, b)\n"
+        "x = s.CohScalar.linear_form((1, 0))\n"
+        "try:\n"
+        "    print(s.ScalarFraction.make(x * x, x))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised: gcd does not divide the fraction\n"
