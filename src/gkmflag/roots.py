@@ -73,16 +73,20 @@ class WeylElement:
     ``images[j]`` is w(alpha_{j+1}) and ``inv_images[j]`` is w^{-1}(alpha_{j+1}),
     both as vectors in the simple-root basis.  ``word`` is the lexicographically
     least reduced word (tuple of 1-based simple indices); equality and hashing
-    go through the root action, never through words.
+    go through the root action, never through words.  Elements are interned,
+    so each one keeps its hash and the products it has formed (at most |W|
+    entries per element).
     """
 
-    __slots__ = ("rs", "images", "inv_images", "word")
+    __slots__ = ("rs", "images", "inv_images", "word", "_hash", "_products")
 
     def __init__(self, rs, images, inv_images, word):
         self.rs = rs
         self.images = images
         self.inv_images = inv_images
         self.word = word
+        self._hash = hash(images)
+        self._products = {}
 
     @property
     def length(self):
@@ -106,10 +110,13 @@ class WeylElement:
         return tuple(out)
 
     def __mul__(self, other):
-        if other.rs is not self.rs:
-            raise ValueError("elements of different root systems")
-        imgs = tuple(self.act(v) for v in other.images)
-        return self.rs._by_images[imgs]
+        prod = self._products.get(other)
+        if prod is None:
+            if other.rs is not self.rs:
+                raise ValueError("elements of different root systems")
+            prod = self.rs._by_images[tuple(self.act(v) for v in other.images)]
+            self._products[other] = prod
+        return prod
 
     def inverse(self):
         return self.rs._by_images[self.inv_images]
@@ -122,7 +129,7 @@ class WeylElement:
         )
 
     def __hash__(self):
-        return hash(self.images)
+        return self._hash
 
     def __repr__(self):
         return "W[%s]" % word_str(self.word)
@@ -249,6 +256,8 @@ class RootDatum:
     def simple(self, i):
         if not 1 <= i <= self.rank:
             raise ValueError("simple index out of range: %r" % (i,))
+        if "by_word" not in self._cache:
+            self.weyl_elements()
         return self._cache["by_word"][(i,)]
 
     def from_word(self, word):

@@ -18,14 +18,24 @@ structurally identical.
 The gcd is a primitive polynomial-remainder-sequence computed directly on the
 exponent dictionaries; Laurent inputs are shifted to genuine polynomials
 first.  Exact division is leading-term elimination and fails fast, which
-makes "is this a multiple" checks cheap; the gcd tries those first since most
-quotients in the geometry reduce completely.
+makes "is this a multiple" checks cheap.  Most quotients in the geometry are
+exact, so ``ScalarFraction.make`` first divides the numerator by the
+denominator once and calls the gcd only when that fails; the gcd in turn
+tries division both ways before its remainder sequence.
+
+Exponent keys are added and subtracted with ``tuple(map(add, k1, k2))``, the
+cheapest form in CPython.  The kernels insert result terms in a fixed order,
+and it matters: the gcd's content loop stops at the first unit coefficient,
+so equal polynomials with their terms in another order cost different
+amounts in later arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
+from operator import add, neg, sub
 
 
 def _coeff(c):
@@ -42,8 +52,8 @@ def _coeff(c):
 # raw polynomial dictionaries (flat exponent tuples -> Fraction)
 # ---------------------------------------------------------------------------
 
-def _p_add(f, g):
-    out = dict(f)
+def _p_iadd(out, g):
+    """Add g into out in place; returns out."""
     for k, c in g.items():
         s = out.get(k)
         if s is None:
@@ -84,7 +94,7 @@ def _p_mul(f, g):
     out = {}
     for k1, c1 in f.items():
         for k2, c2 in g.items():
-            k = tuple(a + b for a, b in zip(k1, k2))
+            k = tuple(map(add, k1, k2))
             s = out.get(k)
             if s is None:
                 out[k] = c1 * c2
@@ -104,17 +114,11 @@ def _p_scale(f, c):
 
 
 def _p_shift(f, off):
-    return {tuple(a + b for a, b in zip(k, off)): c for k, c in f.items()}
+    return {tuple(map(add, k, off)): c for k, c in f.items()}
 
 
 def _min_exps(f):
-    it = iter(f)
-    m = list(next(it))
-    for k in it:
-        for j, a in enumerate(k):
-            if a < m[j]:
-                m[j] = a
-    return tuple(m)
+    return tuple(map(min, zip(*f)))
 
 
 def _p_div_exact(f, d):
@@ -133,8 +137,8 @@ def _p_div_exact(f, d):
     quo = {}
     while rem:
         rlead = max(rem)
-        qk = tuple(a - b for a, b in zip(rlead, dlead))
-        if any(a < 0 for a in qk):
+        qk = tuple(map(sub, rlead, dlead))
+        if min(qk) < 0:
             return None
         rc = rem[rlead]
         if type(rc) is int and type(dc) is int:
@@ -144,7 +148,7 @@ def _p_div_exact(f, d):
             qc = rc / dc
         quo[qk] = qc
         for k, c in d.items():
-            kk = tuple(a + b for a, b in zip(k, qk))
+            kk = tuple(map(add, k, qk))
             s = rem.get(kk)
             if s is None:
                 rem[kk] = -c * qc
@@ -169,10 +173,13 @@ def _rat_primitive(f):
         else:
             num_gcd = int_gcd(num_gcd, abs(c.numerator))
             den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd)
     if f[max(f)] < 0:
-        scale = -scale
-    return {k: int(c * scale) for k, c in f.items()}
+        num_gcd = -num_gcd
+    # exact in integers: num_gcd divides every scaled numerator
+    return {
+        k: (c * den_lcm if type(c) is int else c.numerator * (den_lcm // c.denominator)) // num_gcd
+        for k, c in f.items()
+    }
 
 
 def _p_gcd(f, g):
@@ -189,10 +196,10 @@ def _p_gcd(f, g):
     nv = len(next(iter(f)))
     mf = _min_exps(f)
     mg = _min_exps(g)
-    mono = tuple(min(a, b) for a, b in zip(mf, mg))
+    mono = tuple(map(min, mf, mg))
     if any(mf) or any(mg):
-        f = _p_shift(f, tuple(-a for a in mf))
-        g = _p_shift(g, tuple(-a for a in mg))
+        f = _p_shift(f, tuple(map(neg, mf)))
+        g = _p_shift(g, tuple(map(neg, mg)))
 
     one = {(0,) * nv: 1}
     if len(f) == 1 and not any(next(iter(f))):
@@ -387,7 +394,7 @@ class _ScalarBase:
         return hash((type(self).__name__, self.rank, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        return type(self)(self.rank, _p_add(self.terms, self._co(other).terms))
+        return type(self)(self.rank, _p_iadd(dict(self.terms), self._co(other).terms))
 
     def __sub__(self, other):
         return type(self)(self.rank, _p_sub(self.terms, self._co(other).terms))
@@ -448,10 +455,13 @@ class CohScalar(_ScalarBase):
         return cls(rank, {k: 1})
 
     def weight_pairing(self, w_images):
-        """Substitute alpha_j -> linear_form(w_images[j]); hbar is fixed."""
+        """Substitute alpha_j -> linear_form(w_images[j]); hbar is fixed.
+
+        ``w_images`` is a tuple of tuples, like ``WeylElement.images``."""
         rank = self.rank
-        images = [CohScalar.linear_form(v) for v in w_images]
-        powers = [{0: CohScalar.one(rank)} for _ in range(rank)]
+        unit = {(0,) * (rank + 1): 1}
+        images = _linear_forms(w_images)
+        powers = [{0: unit} for _ in range(rank)]
         out = {}
         for k, c in self.terms.items():
             mono = None
@@ -465,16 +475,14 @@ class CohScalar(_ScalarBase):
                     top = max(cache)
                     acc = cache[top]
                     for t in range(top + 1, e + 1):
-                        acc = acc * base
+                        acc = _p_mul(acc, base)
                         cache[t] = acc
                 p = cache[e]
-                mono = p if mono is None else mono * p
+                mono = p if mono is None else _p_mul(mono, p)
             if mono is None:
-                mono = {(0,) * (rank + 1): 1}
-            else:
-                mono = mono.terms
+                mono = unit
             hk = (0,) * rank + (k[rank],)
-            out = _p_add(out, _p_mul(mono, {hk: c}))
+            _p_iadd(out, _p_mul(mono, {hk: c}))
         return CohScalar(rank, out)
 
     def degree(self):
@@ -493,6 +501,13 @@ class CohScalar(_ScalarBase):
 
     def __repr__(self):
         return "CohScalar(%s)" % render_coh(self)
+
+
+@lru_cache(maxsize=None)
+def _linear_forms(w_images):
+    """The term dicts of the linear forms sum_j v[j] alpha_{j+1}, one per
+    vector v of ``w_images``; shared, so callers must not mutate them."""
+    return tuple(CohScalar.linear_form(v).terms for v in w_images)
 
 
 class KScalar(_ScalarBase):
@@ -563,11 +578,11 @@ def scalar_gcd(a, b):
         if fa:
             m = _min_exps(fa)
             if any(m):
-                fa = _p_shift(fa, tuple(-x for x in m))
+                fa = _p_shift(fa, tuple(map(neg, m)))
         if fb:
             m = _min_exps(fb)
             if any(m):
-                fb = _p_shift(fb, tuple(-x for x in m))
+                fb = _p_shift(fb, tuple(map(neg, m)))
     g = _p_gcd(fa, fb)
     return type(a)(a.rank, g)
 
@@ -583,9 +598,11 @@ def divides_exactly(d, f):
     if isinstance(d, KScalar):
         md = _min_exps(fd)
         mf = _min_exps(ff)
-        fd = _p_shift(fd, tuple(-x for x in md))
-        ff = _p_shift(ff, tuple(-x for x in mf))
-        shift = tuple(a - b for a, b in zip(mf, md))
+        if any(md):
+            fd = _p_shift(fd, tuple(map(neg, md)))
+        if any(mf):
+            ff = _p_shift(ff, tuple(map(neg, mf)))
+        shift = tuple(map(sub, mf, md))
     q = _p_div_exact(ff, fd)
     if q is None:
         return False, None
@@ -634,6 +651,10 @@ class ScalarFraction:
         if num.is_zero():
             return cls(num, type(num).one(num.rank))
         if not den.is_one():
+            # most quotients in the geometry are exact: one trial division
+            ok, q = divides_exactly(den, num)
+            if ok:
+                return cls(q, type(num).one(num.rank))
             g = scalar_gcd(num, den)
             if not g.is_one():
                 ok, num = divides_exactly(g, num)
@@ -731,7 +752,7 @@ def _normalize_unit(num, den):
     if isinstance(den, KScalar):
         m = _min_exps(den.terms)
         if any(m):
-            sh = tuple(-x for x in m)
+            sh = tuple(map(neg, m))
             den = KScalar(den.rank, _p_shift(den.terms, sh))
             num = KScalar(num.rank, _p_shift(num.terms, sh))
     lead = den.terms[max(den.terms, key=den._order_key)]

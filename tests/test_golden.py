@@ -2,10 +2,11 @@
 
 Each command runs in-process through ``cli.main``; the sha256 of its stdout
 must equal the recorded hash.  The hashes were taken from the CLI before the
-Segre motivic tables moved to the operator recursion, and the last two
-before word operators, braid words and the Leibniz rule were each stated
-once, so any change of a table, an expansion, a report or a witness label
-in these outputs fails here.  When an output changes on purpose, re-record its hash with
+Segre motivic tables moved to the operator recursion, two more before word
+operators, braid words and the Leibniz rule were each stated once, and the
+last two before the polynomial kernels were rewritten, so any change of a
+table, an expansion, a report or a witness label in these outputs fails
+here.  When an output changes on purpose, re-record its hash with
 ``gkmflag <command> | sha256sum`` and say why in the change log.
 """
 
@@ -52,6 +53,12 @@ GOLDEN = [
     # braid order 4 and the K Leibniz rule
     ("verify --suite operators --type B --rank 2",
      "3a23699707c1774d777c197aea1d11368ad2601afccb4f0e7daa80dceee7147c"),
+    # a polynomial K expansion: exact quotients throughout
+    ("classes --type A --rank 3 --family mc",
+     "7e3c4a3ee5f4669d23f4d3e531cef8737687fdfe7b8c6fd130c5fb22cb7efd19"),
+    # a fractional H expansion: gcd-reduced quotients
+    ("classes --type B --rank 2 --family sm --format csv",
+     "95e6c8509bfcd0b23c5d59d989fe6735740c80f4286098a506ea3b58ca35a3ed"),
 ]
 
 

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -229,3 +232,14 @@ def test_trichotomy_examples_and_partition():
                     assert siw.length > w.length and siw not in reps
                     assert j in s
                     assert siw is w * rs.simple(j)
+
+
+def test_simple_on_a_fresh_root_system():
+    # a fresh interpreter: build_root_system is cached, and another test may
+    # already have enumerated the Weyl group that fills the word table
+    code = "from gkmflag.roots import build_root_system\nprint(build_root_system('A1').simple(1).word)\n"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "(1,)\n"

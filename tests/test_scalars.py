@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,6 +13,9 @@ from gkmflag.scalars import (
     CohScalar,
     KScalar,
     ScalarFraction,
+    _p_div_exact,
+    _p_mul,
+    _rat_primitive,
     divides_exactly,
     fraction_from_json,
     fraction_to_json,
@@ -201,3 +205,214 @@ def test_non_dividing_gcd_raises_under_optimize():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "raised: gcd does not divide the fraction\n"
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the kernels against naive reference implementations
+# ---------------------------------------------------------------------------
+
+def naive_mul(f, g):
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def naive_add(f, g):
+    out = dict(f)
+    for k, c in g.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def rand_poly(rng, nv, terms, lo=0, hi=3, fractions=False):
+    out = {}
+    for _ in range(terms):
+        k = tuple(rng.randrange(lo, hi + 1) for _ in range(nv))
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        if fractions:
+            c = Fraction(c, rng.randrange(1, 5))
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def rand_monomial(rng, nv, lo=0, hi=4):
+    return {tuple(rng.randrange(lo, hi + 1) for _ in range(nv)): rng.choice([-2, -1, 1, 3])}
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_p_mul_matches_naive_product(fractions):
+    rng = random.Random(11)
+    for _ in range(300):
+        nv = rng.randrange(2, 5)
+        f = rand_poly(rng, nv, rng.randrange(0, 8), fractions=fractions)
+        g = rand_poly(rng, nv, rng.randrange(0, 8), fractions=fractions)
+        assert _p_mul(f, g) == naive_mul(f, g)
+        # a factor with a negative copy cancels terms of the product
+        assert _p_mul(naive_add(f, g), naive_add(f, {k: -c for k, c in g.items()})) == naive_add(
+            naive_mul(f, f), {k: -c for k, c in naive_mul(g, g).items()})
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_p_div_exact_quotient_or_none(fractions):
+    rng = random.Random(12)
+    done = 0
+    while done < 200:
+        nv = rng.randrange(2, 5)
+        d = rand_poly(rng, nv, rng.randrange(2, 6), fractions=fractions)
+        q = rand_poly(rng, nv, rng.randrange(1, 8), fractions=fractions)
+        if len(d) < 2 or not q:
+            continue
+        f = naive_mul(d, q)
+        assert _p_div_exact(f, d) == q
+        assert _p_div_exact(f, q) == d
+        # a polynomial with two or more terms divides no monomial, so adding
+        # one (not cancelled by q*d) leaves a non-multiple of d
+        m = rand_monomial(rng, nv)
+        g = naive_add(f, m)
+        if g and g != f:
+            assert _p_div_exact(g, d) is None
+        done += 1
+    assert _p_div_exact({}, {(1, 0): 2}) == {}
+    with pytest.raises(ZeroDivisionError):
+        _p_div_exact({(1, 0): 1}, {})
+
+
+def test_rat_primitive_matches_rational_scaling():
+    rng = random.Random(16)
+    for _ in range(300):
+        f = rand_poly(rng, 3, rng.randrange(1, 7), fractions=rng.random() < 0.5)
+        if not f:
+            continue
+        # reference: one rational scale factor, applied with Fraction arithmetic
+        dens = [Fraction(c).denominator for c in f.values()]
+        lcm = 1
+        for d in dens:
+            lcm = lcm * d // math.gcd(lcm, d)
+        g = 0
+        for c in f.values():
+            g = math.gcd(g, abs(Fraction(c).numerator))
+        scale = Fraction(lcm, g) * (1 if f[max(f)] > 0 else -1)
+        got = _rat_primitive(f)
+        assert got == {k: c * scale for k, c in f.items()}
+        assert all(type(c) is int for c in got.values())
+
+
+def test_divides_exactly_on_laurent_scalars():
+    rng = random.Random(13)
+    done = 0
+    while done < 200:
+        rank = rng.randrange(1, 4)
+        nv = rank + 1
+        d = rand_poly(rng, nv, rng.randrange(2, 5), lo=-2, hi=2, fractions=rng.random() < 0.5)
+        q = rand_poly(rng, nv, rng.randrange(1, 6), lo=-2, hi=2)
+        # y exponents stay non-negative
+        d = {k[:-1] + (abs(k[-1]),): c for k, c in d.items()}
+        q = {k[:-1] + (abs(k[-1]),): c for k, c in q.items()}
+        if len(d) < 2 or not q:
+            continue
+        ks_d, ks_q = KScalar.from_terms(rank, d), KScalar.from_terms(rank, q)
+        f = KScalar.from_terms(rank, naive_mul(d, q))
+        ok, got = divides_exactly(ks_d, f)
+        assert ok and got == ks_q
+        # Laurent monomials are units: dividing by one always succeeds
+        mono = KScalar.from_terms(rank, rand_monomial(rng, nv, lo=-3, hi=3))
+        ok, got = divides_exactly(mono, f)
+        assert ok and got * mono == f
+        g = f + KScalar.from_terms(rank, rand_monomial(rng, nv, lo=-3, hi=3))
+        if g != f and not g.is_zero():
+            assert divides_exactly(ks_d, g) == (False, None)
+        done += 1
+
+
+def _naive_pow(f, e, nv):
+    out = {(0,) * nv: 1}
+    for _ in range(e):
+        out = naive_mul(out, f)
+    return out
+
+
+@pytest.mark.parametrize("label", ["A3", "B2", "G2"])
+def test_weight_pairing_matches_termwise_substitution(label):
+    rs = build_root_system(label)
+    rank = rs.rank
+    nv = rank + 1
+    rng = random.Random(14)
+    els = rs.weyl_elements()
+    for _ in range(60):
+        w = rng.choice(els)
+        # cohomology: alpha_j -> w(alpha_j) as a linear form, hbar fixed
+        f = rand_poly(rng, nv, rng.randrange(0, 7), fractions=rng.random() < 0.5)
+        want = {}
+        for k, c in f.items():
+            term = {(0,) * rank + (k[rank],): c}
+            for j in range(rank):
+                form = {tuple(int(t == i) for t in range(nv)): a for i, a in enumerate(w.images[j]) if a}
+                term = naive_mul(term, _naive_pow(form, k[j], nv))
+            want = naive_add(want, term)
+        assert CohScalar.from_terms(rank, f).weight_pairing(w.images).terms == want
+        # K theory: e^lambda -> e^{w(lambda)}, y fixed
+        g = rand_poly(rng, nv, rng.randrange(0, 7), lo=-2, hi=2)
+        g = {k[:-1] + (abs(k[-1]),): c for k, c in g.items()}
+        want = {}
+        for k, c in g.items():
+            want = naive_add(want, {w.act(k[:rank]) + (k[rank],): c})
+        assert KScalar.from_terms(rank, g).weight_pairing(w.images).terms == want
+
+
+@pytest.mark.parametrize("label", ["A3", "B2", "G2"])
+def test_weyl_products_match_image_composition(label):
+    rs = build_root_system(label)
+    els = rs.weyl_elements()
+    by_images = {w.images: w for w in els}
+
+    def compose(u, v):
+        # (uv)(alpha_j) = u(v(alpha_j)), with u applied through its matrix
+        return tuple(
+            tuple(sum(c * u.images[i][t] for i, c in enumerate(vec)) for t in range(rs.rank))
+            for vec in v.images
+        )
+
+    pairs = [(u, v) for u in els for v in els]
+    # the second pass reads the memoised products, in another order
+    for order in (pairs, pairs[::-1]):
+        for u, v in order:
+            assert u * v is by_images[compose(u, v)]
+            assert hash(u * v) == hash(compose(u, v))
+    other = build_root_system("A2" if label != "A2" else "B2")
+    with pytest.raises(ValueError):
+        els[1] * other.weyl_elements()[1]
+
+
+def _is_canonical(f):
+    den = f.den
+    lead = den.terms[max(den.terms, key=den._order_key)]
+    if lead != 1:
+        return False
+    if isinstance(den, KScalar) and any(min(k[j] for k in den.terms) for j in range(den.rank + 1)):
+        return False
+    return scalar_gcd(f.num, den).is_one() or f.num.is_zero()
+
+
+@pytest.mark.parametrize("maker", [_rand_coh, _rand_k])
+def test_make_gives_the_canonical_reduced_form(maker):
+    rng = random.Random(15)
+    one = type(maker(rng, 2)).one(2)
+    done = 0
+    while done < 40:
+        p, q, d = maker(rng, 2), maker(rng, 2), maker(rng, 2)
+        if p.is_zero() or q.is_zero() or d.is_zero():
+            continue
+        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+        # exact: the quotient over 1, whatever scale the denominator carries
+        f = ScalarFraction.make((p * d).scale(c), d.scale(c))
+        assert f.num == p and f.den == one and _is_canonical(f)
+        assert ScalarFraction.make(p * d, d) == ScalarFraction(p, one)
+        # not exact: reduced by the common factor, monic (and shifted) den
+        g = ScalarFraction.make((p * d).scale(c), q * d)
+        assert g.num * q == p.scale(c) * g.den
+        assert _is_canonical(g)
+        assert g == ScalarFraction.make(p.scale(c), q)
+        done += 1
