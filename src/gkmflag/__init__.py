@@ -16,7 +16,6 @@ from .scalars import (
     KScalar,
     ScalarFraction,
     divides_exactly,
-    ring_arithmetic,
     weyl_act_scalar,
 )
 from .model import (

@@ -18,6 +18,10 @@ division by it follows.  Segre-MacPherson classes are the csm classes
 divided by c(T_X).  The closed forms, the dual-basis solve, the other
 recursions and the pushforward identities are verified as theorems rather
 than used as constructors.
+
+The paper's main theorem, how T_i acts on Chern cells and its dual on
+Segre cells, is stated once, in ``_dl_cases``; ``verify_class_theorems``
+checks it for every family, side and direction of step.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .operators import (
     dl_right_inverse,
     weyl_left,
 )
-from .roots import word_str
+from .roots import bruhat_leq, word_str
 from .scalars import CohScalar, KScalar, ScalarFraction, _normalize_unit, divides_exactly
 
 FAMILIES = ("csm", "sm", "mc", "smc")
@@ -215,94 +219,118 @@ def verify_class_theorems(space, kinds=("csm", "motivic"), corrupt=False):
     return rep
 
 
+def _neg_y_power(rank, k):
+    out = KScalar.one(rank)
+    for _ in range(k):
+        out = out * -KScalar.y(rank)
+    return out
+
+
+def _dl_cases(space, left, entries):
+    """Witness cases of the paper's DL rule on cell classes, lazily.
+
+    ``entries`` holds (label suffix, cell family, dual), one case each per
+    simple index i and fixed point w.  The step takes w to t = rep(s_i w)
+    (left) or w s_i (right); it goes toward the side's growth when it goes
+    up on B or down on Bminus, and fold = l(s_i w) - l(t) is nonzero only
+    for left steps on G/P.  With T_i (dual: T_i^dual) applied to a cell,
+    in K:
+
+      Chern cells (csm, mc):  (-y)^fold c_t toward;  -(1+y) c_w - y c_t against;
+      Segre cells (sm, smc):  -(1+y) s_w + s_t toward;  -y s_t against.
+
+    Cohomology is y = -1, where every case is c_t.
+    """
+    rank = space.rs.rank
+    y = KScalar.y(rank)
+    one_plus_y = KScalar.one(rank) + y
+
+    def rhs(cells, w, t, toward, fold):
+        ct = cells[t]
+        if cells.family in ("csm", "sm"):
+            return ct
+        if cells.family == "smc":
+            return -(cells[w].scale(one_plus_y)) + ct if toward else ct.scale(-y)
+        if not toward:
+            return -(cells[w].scale(one_plus_y)) - ct.scale(y)
+        return ct.scale(_neg_y_power(rank, fold)) if fold else ct
+
+    op = dl_left if left else dl_right
+    for i in range(1, rank + 1):
+        si = space.rs.simple(i)
+        for w in space.points:
+            step = si * w if left else w * si
+            t = space.rep(step)
+            up = step.length > w.length
+            for suffix, cells, dual in entries:
+                lhs = op(i, cells[w], dual=dual)
+                yield ("i=%d w=%s%s" % (i, word_str(w.word), suffix), lhs,
+                       rhs(cells, w, t, up == (cells.side == "B"), step.length - t.length))
+
+
+def _duality_cases(space, theory, cells, duals, **pair_kw):
+    """Witness cases of <cells[w], duals[u]> = delta_{w,u}, lazily."""
+    base = CohScalar if theory == H else KScalar
+    one = ScalarFraction.from_scalar(base.one(space.rs.rank))
+    zero = ScalarFraction.from_scalar(base.zero(space.rs.rank))
+    return (
+        (
+            "(%s,%s)" % (word_str(w.word), word_str(u.word)),
+            pair(cells[w], duals[u], **pair_kw),
+            one if w is u else zero,
+        )
+        for w in space.points
+        for u in space.points
+    )
+
+
+def _sums_to_ambient(space, theory, cells):
+    total = LocalizedClass.zero(space, theory)
+    for w in space.points:
+        total = total + cells[w]
+    return total == ambient_class(space, theory)
+
+
+def _gkm_cases(cells):
+    for w in cells.space.points:
+        status, _ = gkm_check(cells[w])
+        yield ("%s w=%s" % (cells.family, word_str(w.word)), status, "pass")
+
+
 def _verify_csm(space, rep):
     rs = space.rs
     idx = range(1, rs.rank + 1)
     pts = space.points
-    csm = cell_family(space, "csm", "B").table
-    csm_op = cell_family(space, "csm", "Bminus").table
-    sm = cell_family(space, "sm", "B").table
-    sm_op = cell_family(space, "sm", "Bminus").table
+    csm = cell_family(space, "csm", "B")
+    csm_op = cell_family(space, "csm", "Bminus")
+    sm = cell_family(space, "sm", "B")
+    sm_op = cell_family(space, "sm", "Bminus")
     rank = rs.rank
 
     if space.is_full_flag:
-        rep.check(
-            "right DL recursion on csm cells",
-            _each_iw(space, lambda i, w: (dl_right(i, csm[w]), csm[w * rs.simple(i)])),
-        )
+        rep.check("right DL recursion on csm cells", _dl_cases(space, False, [("", csm, False)]))
         rep.check(
             "dual right DL on Segre-MacPherson cells (both sides)",
-            (
-                pairline
-                for i in idx
-                for w in pts
-                for pairline in (
-                    (
-                        "i=%d w=%s opp" % (i, word_str(w.word)),
-                        dl_right(i, sm_op[w], dual=True),
-                        sm_op[w * rs.simple(i)],
-                    ),
-                    (
-                        "i=%d w=%s" % (i, word_str(w.word)),
-                        dl_right(i, sm[w], dual=True),
-                        sm[w * rs.simple(i)],
-                    ),
-                )
-            ),
+            _dl_cases(space, False, [(" opp", sm_op, True), ("", sm, True)]),
         )
-
-    def left_cases():
-        for i in idx:
-            si = rs.simple(i)
-            for w in pts:
-                t = space.rep(si * w)
-                yield ("i=%d w=%s csm" % (i, word_str(w.word)), dl_left(i, csm[w]), csm[t])
-                yield (
-                    "i=%d w=%s sm-opp" % (i, word_str(w.word)),
-                    dl_left(i, sm_op[w], dual=True),
-                    sm_op[t],
-                )
-                yield (
-                    "i=%d w=%s csm-opp" % (i, word_str(w.word)),
-                    dl_left(i, csm_op[w], dual=True),
-                    csm_op[t],
-                )
-                yield ("i=%d w=%s sm" % (i, word_str(w.word)), dl_left(i, sm[w]), sm[t])
-    rep.check("left DL recursions on csm and sm cells (all four)", left_cases())
-
-    # duality: <csm cell, segre dual of opposite cell> is the identity matrix
-    one = ScalarFraction.from_scalar(CohScalar.one(rank))
-    zero = ScalarFraction.from_scalar(CohScalar.zero(rank))
     rep.check(
-        "csm/sm duality matrix is the identity",
-        (
-            (
-                "(%s,%s)" % (word_str(w.word), word_str(u.word)),
-                pair(csm[w], csm_op[u], extra_ambient_weight=True),
-                one if w is u else zero,
-            )
-            for w in pts
-            for u in pts
-        ),
+        "left DL recursions on csm and sm cells (all four)",
+        _dl_cases(space, True, [
+            (" csm", csm, False), (" sm-opp", sm_op, True),
+            (" csm-opp", csm_op, True), (" sm", sm, False),
+        ]),
     )
 
-    total = LocalizedClass.zero(space, H)
-    for w in pts:
-        total = total + csm[w]
-    rep.record("csm normalization: cells sum to c(TX)", total == ambient_class(space, H))
-    total = LocalizedClass.zero(space, H)
-    for w in pts:
-        total = total + csm_op[w]
-    rep.record("csm normalization on opposite cells", total == ambient_class(space, H))
+    # duality: <csm cell, segre dual of opposite cell> is the identity matrix
+    rep.check(
+        "csm/sm duality matrix is the identity",
+        _duality_cases(space, H, csm, csm_op, extra_ambient_weight=True),
+    )
+    rep.record("csm normalization: cells sum to c(TX)", _sums_to_ambient(space, H, csm))
+    rep.record("csm normalization on opposite cells", _sums_to_ambient(space, H, csm_op))
 
     # gkm membership and support triangularity
-    def gkm_all():
-        for w in pts:
-            status, witness = gkm_check(csm[w])
-            yield ("csm w=%s" % word_str(w.word), status, "pass")
-    rep.check("gkm membership of csm cells", gkm_all())
-
-    from .roots import bruhat_leq
+    rep.check("gkm membership of csm cells", _gkm_cases(csm))
 
     # Bruhat partial sums are the classes of the closed Schubert varieties;
     # they must land in the non-localized ring and agree with the dense cell
@@ -369,46 +397,23 @@ def _verify_csm(space, rep):
 
 def _verify_motivic(space, rep, corrupt=False):
     rs = space.rs
-    idx = range(1, rs.rank + 1)
     pts = space.points
     rank = rs.rank
-    mc = dict(cell_family(space, "mc", "B").table)
+    mc = cell_family(space, "mc", "B")
     if corrupt:
         w1 = pts[-1]
-        mc[w1] = mc[w1].scale(KScalar.y(rank))
-    mc_op = cell_family(space, "mc", "Bminus").table
-    smc_op = cell_family(space, "smc", "Bminus").table
-    smc_b = cell_family(space, "smc", "B").table
-    y = KScalar.y(rank)
-    one = KScalar.one(rank)
-    neg_y = -y
-    one_plus_y = one + y
-
-    def braid_factor(k):
-        acc = ScalarFraction.from_scalar(one)
-        for _ in range(k):
-            acc = acc.mul_scalar(neg_y)
-        return acc
+        table = dict(mc.table)
+        table[w1] = table[w1].scale(KScalar.y(rank))
+        mc = CellClassFamily("mc", "B", space, table)
+    mc_op = cell_family(space, "mc", "Bminus")
+    smc_op = cell_family(space, "smc", "Bminus")
+    smc_b = cell_family(space, "smc", "B")
 
     if space.is_full_flag:
-        def mcr():
-            for i in idx:
-                si = rs.simple(i)
-                for w in pts:
-                    t = w * si
-                    lhs = dl_right(i, mc[w])
-                    if t.length > w.length:
-                        rhs = mc[t]
-                    else:
-                        rhs = -(mc[w].scale(one_plus_y)) - mc[t].scale(y)
-                    yield ("i=%d w=%s" % (i, word_str(w.word)), lhs, rhs)
-                    lhs2 = dl_right(i, mc_op[w])
-                    if t.length < w.length:
-                        rhs2 = mc_op[t]
-                    else:
-                        rhs2 = -(mc_op[w].scale(one_plus_y)) - mc_op[t].scale(y)
-                    yield ("i=%d w=%s opp" % (i, word_str(w.word)), lhs2, rhs2)
-        rep.check("right DL on motivic cells, both branches", mcr())
+        rep.check(
+            "right DL on motivic cells, both branches",
+            _dl_cases(space, False, [("", mc, False), (" opp", mc_op, False)]),
+        )
 
         w0 = rs.longest_element
         point_b = fixed_point_class(space, K, rs.identity)
@@ -432,36 +437,23 @@ def _verify_motivic(space, rep, corrupt=False):
                 )
             ),
         )
-
-        def smcr():
-            for i in idx:
-                si = rs.simple(i)
-                for w in pts:
-                    t = w * si
-                    lhs = dl_right(i, smc_b[w], dual=True)
-                    if t.length < w.length:
-                        rhs = smc_b[t].scale(neg_y)
-                    else:
-                        rhs = -(smc_b[w].scale(one_plus_y)) + smc_b[t]
-                    yield ("i=%d w=%s" % (i, word_str(w.word)), lhs, rhs)
-                    lhs2 = dl_right(i, smc_op[w], dual=True)
-                    if t.length > w.length:
-                        rhs2 = smc_op[t].scale(neg_y)
-                    else:
-                        rhs2 = -(smc_op[w].scale(one_plus_y)) + smc_op[t]
-                    yield ("i=%d w=%s opp" % (i, word_str(w.word)), lhs2, rhs2)
-        rep.check("dual right DL on Segre motivic cells, both branches", smcr())
+        rep.check(
+            "dual right DL on Segre motivic cells, both branches",
+            _dl_cases(space, False, [("", smc_b, True), (" opp", smc_op, True)]),
+        )
 
         # B-side inverse-word closed form by the dual operators; the table
         # is built by the plain ones and one division by lambda_y(T*X), so
         # this is an independent identity
         def close_b():
+            one, y = KScalar.one(rank), KScalar.y(rank)
             den_b = one
             for b in rs.positive_roots:
                 den_b = den_b * (one + y * KScalar.character(b))
             for w in pts:
                 cls = apply_word(lambda i, b: dl_right_inverse(i, b, dual=True), w.inverse(), point_b)
-                fac = braid_factor(w.length).div_scalar(den_b)
+                fac = ScalarFraction.from_scalar(_neg_y_power(rank, w.length))
+                fac = fac.div_scalar(den_b)
                 yield ("w=%s" % word_str(w.word), cls.scale(fac), smc_b[w])
         rep.check("Segre motivic inverse-word closed form, B side", close_b())
 
@@ -475,55 +467,16 @@ def _verify_motivic(space, rep, corrupt=False):
                 ),
             )
 
-    # duality on any space
-    onef = ScalarFraction.from_scalar(one)
-    zerof = ScalarFraction.from_scalar(KScalar.zero(rank))
+    rep.check("mc/smc duality matrix is the identity", _duality_cases(space, K, mc, smc_op))
     rep.check(
-        "mc/smc duality matrix is the identity",
-        (
-            (
-                "(%s,%s)" % (word_str(w.word), word_str(u.word)),
-                pair(mc[w], smc_op[u]),
-                onef if w is u else zerof,
-            )
-            for w in pts
-            for u in pts
-        ),
+        "left DL on motivic cells, with (-y) fold factor", _dl_cases(space, True, [("", mc, False)])
     )
-
-    # left DL on motivic cells, with the (-y) power on the folding branch
-    def ldl(i, w):
-        siw = rs.simple(i) * w
-        t = space.rep(siw)
-        lhs = dl_left(i, mc[w])
-        if siw.length > w.length:
-            return lhs, mc[t].scale(braid_factor(siw.length - t.length))
-        return lhs, -(mc[w].scale(one_plus_y)) - mc[t].scale(y)
-    rep.check("left DL on motivic cells, with (-y) fold factor", _each_iw(space, ldl))
-
-    def ldl_dual(i, w):
-        siw = rs.simple(i) * w
-        t = space.rep(siw)
-        lhs = dl_left(i, smc_op[w], dual=True)
-        if siw.length > w.length:
-            return lhs, smc_op[t].scale(neg_y)
-        return lhs, -(smc_op[w].scale(one_plus_y)) + smc_op[t]
-    rep.check("dual left DL on Segre motivic opposite cells", _each_iw(space, ldl_dual))
-
-    total = LocalizedClass.zero(space, K)
-    for w in pts:
-        total = total + mc[w]
-    rep.record("mc normalization: cells sum to lambda_y(T*X)", total == ambient_class(space, K),
-               None if total == ambient_class(space, K) else "sum mismatch")
-
-    def gkm_all():
-        for w in pts:
-            status, _ = gkm_check(mc[w])
-            yield ("mc w=%s" % word_str(w.word), status, "pass")
-    rep.check("gkm membership of mc cells", gkm_all())
-
-    from .roots import bruhat_leq
-
+    rep.check(
+        "dual left DL on Segre motivic opposite cells", _dl_cases(space, True, [("", smc_op, True)])
+    )
+    rep.record("mc normalization: cells sum to lambda_y(T*X)", _sums_to_ambient(space, K, mc),
+               "sum mismatch")
+    rep.check("gkm membership of mc cells", _gkm_cases(mc))
     rep.check(
         "mc support triangularity and y-degree bounds",
         (
@@ -541,24 +494,24 @@ def _verify_motivic(space, rep, corrupt=False):
 
     if not space.is_full_flag:
         full = space.full_flag()
-        mc_full = cell_family(full, "mc", "B").table
+        mc_full = cell_family(full, "mc", "B")
         def push_factor():
             for u in full.points:
                 lhs = pushforward_parabolic(mc_full[u], space)
                 t = space.rep(u)
-                rhs = mc[t].scale(braid_factor(u.length - t.length))
+                rhs = mc[t].scale(_neg_y_power(rank, u.length - t.length))
                 yield ("u=%s" % word_str(u.word), lhs, rhs)
         rep.check("pushforward of motivic cells picks up (-y) powers", push_factor())
 
         # pullback vs the coset decomposition of the preimage cell: the
         # (-y) powers compensate the dimension shifts in the Segre
         # normalization of the lower-dimensional coset pieces
-        smc_full = cell_family(full, "smc", "Bminus").table
+        smc_full = cell_family(full, "smc", "Bminus")
         def pull_additive():
             for u in pts:
                 lhs = pullback_parabolic(smc_op[u], full)
                 rhs = LocalizedClass.zero(full, K)
                 for v in space.coset(u):
-                    rhs = rhs + smc_full[v].scale(braid_factor(v.length - u.length))
+                    rhs = rhs + smc_full[v].scale(_neg_y_power(rank, v.length - u.length))
                 yield ("u=%s" % word_str(u.word), lhs, rhs)
         rep.check("pullback of Segre motivic classes is coset-additive", pull_additive())

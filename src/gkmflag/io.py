@@ -22,6 +22,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from .model import LocalizedClass, flag_space
 from .roots import word_str
 from .scalars import (
+    CohScalar,
     fraction_from_json,
     fraction_to_json,
     render_fraction,
@@ -127,8 +128,6 @@ def matrix_document(space, theory, rows, cols, matrix):
 # ---------------------------------------------------------------------------
 
 def latex_scalar(s):
-    from .scalars import CohScalar
-
     if s.is_zero():
         return "0"
     parts = []

@@ -359,6 +359,8 @@ def first_chern_class(space):
 
 def _w0_twist(space, table):
     """The longest-element twist: entry w is w0^L of the entry at w0 w W_P."""
+    # operators imports this module, so here and in _build_schubert_basis
+    # operators is imported when called
     from . import operators as ops
 
     w0 = space.rs.longest_element
@@ -526,9 +528,6 @@ def gkm_check(a):
             if not ok:
                 return ("fail", (v, beta))
     return ("pass", None)
-
-
-_BASIS_SIDES = {"X_B": (H, "B"), "X_Bminus": (H, "Bminus"), "O_B": (K, "B"), "O_Bminus": (K, "Bminus")}
 
 
 @dataclass

@@ -54,6 +54,12 @@ b - s(b) = (1 - t)(delta(b) - s(b)),
 
 ``leibniz_rhs`` states this once, for any product: classes, quantum
 classes through a structure table, and formal products.
+
+Divided differences on Schubert classes: d_i S_w = +-S_t when the step
+enters a new cell t (s_i w on the left, w s_i on the right) in the
+direction the side grows, and otherwise 0 in H and S_w in K; the sign is -1
+only for bgg_left on the B side.  ``verify_schubert_actions`` states this
+once, in ``check_dd``, for both operators, both sides and both theories.
 """
 
 from __future__ import annotations
@@ -435,45 +441,20 @@ def verify_relations(space, theory, corrupt=False):
     if is_full:
         dright = bgg_right if theory == H else demazure_right
         rep.check("partial_i square", _each_iw(space, square(dright)))
-        rep.check(
-            "delta_i partial_j commute",
-            (
-                (
-                    "i=%d j=%d w=%s" % (i, j, word_str(w.word)),
-                    dleft(i, dright(j, b)),
-                    dright(j, dleft(i, b)),
-                )
-                for i in idx
-                for j in idx
-                for w, b in basis.items()
-            ),
-        )
-        rep.check(
-            "s_j^L and T_i^R commute",
-            (
-                (
-                    "i=%d j=%d w=%s" % (i, j, word_str(w.word)),
-                    weyl_left(rs.simple(j), dl_right(i, b)),
-                    dl_right(i, weyl_left(rs.simple(j), b)),
-                )
-                for i in idx
-                for j in idx
-                for w, b in basis.items()
-            ),
-        )
-        rep.check(
-            "T_j^L and T_i^R commute",
-            (
-                (
-                    "i=%d j=%d w=%s" % (i, j, word_str(w.word)),
-                    dl_left(j, dl_right(i, b)),
-                    dl_right(i, dl_left(j, b)),
-                )
-                for i in idx
-                for j in idx
-                for w, b in basis.items()
-            ),
-        )
+
+        def commute(ops):
+            # ops(i, j) = (left operator, right operator), applied both ways
+            for i in idx:
+                for j in idx:
+                    lop, rop = ops(i, j)
+                    for w, b in basis.items():
+                        yield ("i=%d j=%d w=%s" % (i, j, word_str(w.word)), lop(rop(b)), rop(lop(b)))
+        rep.check("delta_i partial_j commute",
+                  commute(lambda i, j: (partial(dleft, i), partial(dright, j))))
+        rep.check("s_j^L and T_i^R commute",
+                  commute(lambda i, j: (partial(weyl_left, rs.simple(j)), partial(dl_right, i))))
+        rep.check("T_j^L and T_i^R commute",
+                  commute(lambda i, j: (partial(dl_left, j), partial(dl_right, i))))
 
     # Adjointness.  The right identity is base-ring bilinear, so checking it
     # against the full fixed-point basis proves it for every class; it is
@@ -612,7 +593,6 @@ def verify_schubert_actions(space, theory):
     rs = space.rs
     rep = VerificationReport("schubert-actions:%s" % theory, _space_label(space))
     basis = space.schubert_basis(theory, "B")
-    obasis = space.schubert_basis(theory, "Bminus")
     zero = LocalizedClass.zero(space, theory)
     is_full = space.is_full_flag
 
@@ -622,28 +602,25 @@ def verify_schubert_actions(space, theory):
     def sl_point(i, w):
         return weyl_left(rs.simple(i), point(w)), point(space.rep(rs.simple(i) * w))
 
+    def check_dd(name, op, side, left):
+        # the divided-difference rule of the module docstring
+        table = space.schubert_basis(theory, side)
+        negate = theory == H and left and side == "B"
+
+        def case(i, w):
+            t = rs.simple(i) * w if left else w * rs.simple(i)
+            lhs = op(i, table[w])
+            if (t.length > w.length) == (side == "B") and space.rep(t) is t:
+                return lhs, -table[t] if negate else table[t]
+            return lhs, zero if theory == H else table[w]
+        rep.check(name, _each_iw(space, case))
+
     if theory == H:
         if is_full:
-            def right_b(i, w):
-                ws = w * rs.simple(i)
-                return bgg_right(i, basis[w]), basis[ws] if ws.length > w.length else zero
-            rep.check("partial_i [X_w] cases", _each_iw(space, right_b))
-
-            def right_op(i, w):
-                ws = w * rs.simple(i)
-                return bgg_right(i, obasis[w]), obasis[ws] if ws.length < w.length else zero
-            rep.check("partial_i [X^w] cases", _each_iw(space, right_op))
-
-        def left_op(i, w):
-            siw = rs.simple(i) * w
-            return bgg_left(i, obasis[w]), obasis[space.rep(siw)] if siw.length < w.length else zero
-        rep.check("delta_i [X^w] cases", _each_iw(space, left_op))
-
-        def left_b(i, w):
-            siw = rs.simple(i) * w
-            new_cell = siw.length > w.length and space.rep(siw) is siw
-            return bgg_left(i, basis[w]), -basis[siw] if new_cell else zero
-        rep.check("delta_i [X_w] cases", _each_iw(space, left_b))
+            check_dd("partial_i [X_w] cases", bgg_right, "B", False)
+            check_dd("partial_i [X^w] cases", bgg_right, "Bminus", False)
+        check_dd("delta_i [X^w] cases", bgg_left, "Bminus", True)
+        check_dd("delta_i [X_w] cases", bgg_left, "B", True)
 
         def sl_b(i, w):
             siw = rs.simple(i) * w
@@ -663,15 +640,8 @@ def verify_schubert_actions(space, theory):
 
     # K theory
     if is_full:
-        def right_b(i, w):
-            ws = w * rs.simple(i)
-            return demazure_right(i, basis[w]), basis[ws] if ws.length > w.length else basis[w]
-        rep.check("partial_i O_w cases", _each_iw(space, right_b))
-
-        def right_op(i, w):
-            ws = w * rs.simple(i)
-            return demazure_right(i, obasis[w]), obasis[ws] if ws.length < w.length else obasis[w]
-        rep.check("partial_i O^w cases", _each_iw(space, right_op))
+        check_dd("partial_i O_w cases", demazure_right, "B", False)
+        check_dd("partial_i O^w cases", demazure_right, "Bminus", False)
 
         def sl_b(i, w):
             siw = rs.simple(i) * w
@@ -687,15 +657,7 @@ def verify_schubert_actions(space, theory):
             return weyl_right(rs.simple(i), point(w)), point(w * rs.simple(i)).scale(e).scale(-1)
         rep.check("s_i^R iota_w = -e^{w(a_i)} iota_{w s_i}", _each_iw(space, sr_point))
 
-    def left_b(i, w):
-        siw = rs.simple(i) * w
-        return demazure_left(i, basis[w]), basis[space.rep(siw)] if siw.length > w.length else basis[w]
-    rep.check("delta_i O_w parabolic cases", _each_iw(space, left_b))
-
-    def left_op(i, w):
-        siw = rs.simple(i) * w
-        rhs = obasis[space.rep(siw)] if siw.length < w.length else obasis[w]
-        return demazure_left(i, obasis[w], dual=True), rhs
-    rep.check("delta_i^v O^w parabolic cases", _each_iw(space, left_op))
+    check_dd("delta_i O_w parabolic cases", demazure_left, "B", True)
+    check_dd("delta_i^v O^w parabolic cases", partial(demazure_left, dual=True), "Bminus", True)
     rep.check("s_i^L iota_w = iota_{s_i w}", _each_iw(space, sl_point))
     return rep

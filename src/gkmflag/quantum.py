@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -53,6 +54,7 @@ from .scalars import (
     KScalar,
     ScalarFraction,
     fraction_from_json,
+    render_fraction,
     weyl_act_scalar,
 )
 
@@ -406,8 +408,6 @@ class FormalQElem:
         )
 
     def __repr__(self):
-        from .scalars import render_fraction
-
         if not self.terms:
             return "0"
         bits = []
@@ -660,8 +660,6 @@ def verify_quantum_examples():
 
 
 def fixture_dir():
-    import os
-
     override = os.environ.get("GKMFLAG_FIXTURES")
     if override:
         return override
@@ -671,8 +669,6 @@ def fixture_dir():
 def load_fixture_table(name):
     """Load a structure table file; an unreadable or invalid file raises
     TableValidationError naming the file."""
-    import os
-
     path = name if os.path.sep in name or os.path.exists(name) else os.path.join(
         fixture_dir(), name
     )

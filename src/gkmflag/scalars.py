@@ -763,19 +763,6 @@ def _normalize_unit(num, den):
     return num, den
 
 
-def ring_arithmetic(a, b, op):
-    """Dispatch arithmetic on fractions by name: add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown operation %r" % (op,))
-
-
 # ---------------------------------------------------------------------------
 # rendering (plain text, used by repr and the CSV output)
 # ---------------------------------------------------------------------------

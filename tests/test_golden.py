@@ -3,10 +3,11 @@
 Each command runs in-process through ``cli.main``; the sha256 of its stdout
 must equal the recorded hash.  The hashes were taken from the CLI before the
 Segre motivic tables moved to the operator recursion, two more before word
-operators, braid words and the Leibniz rule were each stated once, and the
-last two before the polynomial kernels were rewritten, so any change of a
-table, an expansion, a report or a witness label in these outputs fails
-here.  When an output changes on purpose, re-record its hash with
+operators, braid words and the Leibniz rule were each stated once, two
+before the polynomial kernels were rewritten, and the csm suite's three
+before the cell and Schubert action rules were each stated once, so any
+change of a table, an expansion, a report or a witness label in these
+outputs fails here.  When an output changes on purpose, re-record its hash with
 ``gkmflag <command> | sha256sum`` and say why in the change log.
 """
 
@@ -59,6 +60,13 @@ GOLDEN = [
     # a fractional H expansion: gcd-reduced quotients
     ("classes --type B --rank 2 --family sm --format csv",
      "95e6c8509bfcd0b23c5d59d989fe6735740c80f4286098a506ea3b58ca35a3ed"),
+    # the csm suite: right and left DL on cells, folding on G/P, braid order 4
+    ("verify --suite csm --type A --rank 2",
+     "6512e70e0fce0c8d0ef4c98caf82dfd54837a03230a9010c9d963645a8994e52"),
+    ("verify --suite csm --type A --rank 3 --parabolic 1,3",
+     "332a4b61f95b0bda13fea4d93c08d2f61e13fb1830fa651e8053aae80a2ab949"),
+    ("verify --suite csm --type B --rank 2",
+     "17d886d243077f5c92569f7a10d06ea10fe71c65bd253dec370afbbe4d7f5692"),
 ]
 
 
