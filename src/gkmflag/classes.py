@@ -326,8 +326,10 @@ def _verify_csm(space, rep):
         "csm/sm duality matrix is the identity",
         _duality_cases(space, H, csm, csm_op, extra_ambient_weight=True),
     )
-    rep.record("csm normalization: cells sum to c(TX)", _sums_to_ambient(space, H, csm))
-    rep.record("csm normalization on opposite cells", _sums_to_ambient(space, H, csm_op))
+    rep.record("csm normalization: cells sum to c(TX)", _sums_to_ambient(space, H, csm),
+               "sum mismatch")
+    rep.record("csm normalization on opposite cells", _sums_to_ambient(space, H, csm_op),
+               "sum mismatch")
 
     # gkm membership and support triangularity
     rep.check("gkm membership of csm cells", _gkm_cases(csm))

@@ -12,6 +12,13 @@ a key, empty containers as ``[]`` and ``{}``.  ``tests/test_io.py`` pins the
 bytes.  ``dumps_json`` writes that layout itself rather than calling
 ``json.dumps``, because with ``indent`` set ``json`` does not use its C
 encoder, and its pure-Python path dominated the cost of exporting a table.
+
+Documents share objects, so they are read-only.  ``class_table_document`` and
+``matrix_document`` build each distinct term (theory, exponents, coefficient)
+once per document and put that one dict wherever the term occurs.
+``dumps_json`` records each container's slice of its output; meeting the same
+object again at the same depth (which sets the indentation) it appends that
+text instead of walking the container.  No cache outlives one call.
 """
 
 from __future__ import annotations
@@ -21,12 +28,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from .model import LocalizedClass, flag_space
 from .roots import word_str
-from .scalars import (
-    CohScalar,
-    fraction_from_json,
-    fraction_to_json,
-    render_fraction,
-)
+from .scalars import CohScalar, _fraction_json, fraction_from_json, render_fraction
 
 
 def space_to_json(space):
@@ -58,44 +60,44 @@ def point_parser(space):
     return point
 
 
-def class_values_json(a):
-    return [
-        {"label": word_str(v.word), "value": fraction_to_json(a.values[v])}
-        for v in a.space.points  # ordered by (length, word)
-    ]
-
-
 def class_table_document(space, theory, family, side, table, expansions=None):
     """The class-table schema: fixed point restrictions per class, plus the
     Schubert expansion when provided."""
-    doc = {
+    terms = {}  # one dict per distinct term of the document
+    pts = space.points  # ordered by (length, word)
+    labels = [word_str(w.word) for w in pts]
+    entries = []
+    for w, label in zip(pts, labels):
+        values = table[w].values
+        entry = {
+            "label": label,
+            "values": [
+                {"label": lb, "value": _fraction_json(values[v], terms)}
+                for v, lb in zip(pts, labels)
+            ],
+        }
+        if expansions is not None:
+            exp = expansions[w]
+            nonzero = exp.nonzero()
+            entry["expansion"] = {
+                "basis": "schubert",
+                "side": exp.side,
+                "coeffs": [
+                    {"label": lb, "coeff": _fraction_json(nonzero[u], terms)}
+                    for u, lb in zip(pts, labels)
+                    if u in nonzero
+                ],
+            }
+        entries.append(entry)
+    return {
         "space": space_to_json(space),
         "theory": theory,
         "family": family,
         "side": side,
         "y_present": theory == "K",
         "basis": "fixedpoint",
-        "entries": [],
+        "entries": entries,
     }
-    for w in space.points:
-        entry = {
-            "label": word_str(w.word),
-            "values": class_values_json(table[w]),
-        }
-        if expansions is not None:
-            exp = expansions[w]
-            entry["expansion"] = {
-                "basis": "schubert",
-                "side": exp.side,
-                "coeffs": [
-                    {"label": word_str(u.word), "coeff": fraction_to_json(c)}
-                    for u, c in sorted(
-                        exp.nonzero().items(), key=lambda kv: (kv[0].length, kv[0].word)
-                    )
-                ],
-            }
-        doc["entries"].append(entry)
-    return doc
 
 
 def load_class_table(doc):
@@ -114,12 +116,13 @@ def load_class_table(doc):
 
 
 def matrix_document(space, theory, rows, cols, matrix):
+    terms = {}
     return {
         "space": space_to_json(space),
         "theory": theory,
         "rows": [word_str(w.word) for w in rows],
         "cols": [word_str(w.word) for w in cols],
-        "matrix": [[fraction_to_json(c) for c in row] for row in matrix],
+        "matrix": [[_fraction_json(c, terms) for c in row] for row in matrix],
     }
 
 
@@ -246,7 +249,7 @@ def dumps_json(doc):
     """``json.dumps(doc, indent=1, sort_keys=True) + "\\n"``, byte for byte.
 
     Values may be str, int, bool, None, dict (str keys only), list or tuple;
-    anything else raises TypeError.
+    anything else raises TypeError.  ``doc`` must not change during the call.
     """
     out = []
     _write(doc, out, [None], 0)  # frags[d] serves items at depth d >= 1
@@ -258,11 +261,13 @@ _int_repr = int.__repr__
 
 
 def _fragments(depth):
-    """(list open, dict open, item separator, list close, dict close) for the
-    items at ``depth`` >= 1; built once per depth and document."""
+    """(list open, dict open, item separator, list close, dict close, seen)
+    for the items at ``depth`` >= 1; built once per depth and document.
+    ``seen`` maps the id of each container written with its items at this
+    depth to its slice of the output, or to its text once met again."""
     nl = "\n" + " " * depth
     outer = nl[:-1]
-    return ("[" + nl, "{" + nl, "," + nl, outer + "]", outer + "}")
+    return ("[" + nl, "{" + nl, "," + nl, outer + "]", outer + "}", {})
 
 
 def _write(o, out, frags, depth):
@@ -284,6 +289,18 @@ def _write(o, out, frags, depth):
         raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
+def _reuse(o, out, seen):
+    """Append the text already written for container ``o`` at this depth, or
+    return False.  The document keeps its containers alive, so ids stay put."""
+    text = seen.get(id(o))
+    if text is None:
+        return False
+    if type(text) is tuple:
+        text = seen[id(o)] = "".join(out[text[0]:text[1]])
+    out.append(text)
+    return True
+
+
 # The container writers handle the common item types inline, sparing a call
 # per leaf.  Every item is preceded by the separator; the first separator is
 # then overwritten with the opening bracket.
@@ -295,7 +312,9 @@ def _write_list(lst, out, frags, depth):
     depth += 1
     if depth == len(frags):
         frags.append(_fragments(depth))
-    lopen, _, sep, lclose, _ = frags[depth]
+    lopen, _, sep, lclose, _, seen = frags[depth]
+    if _reuse(lst, out, seen):
+        return
     start = len(out)
     for v in lst:
         out.append(sep)
@@ -312,6 +331,7 @@ def _write_list(lst, out, frags, depth):
             _write(v, out, frags, depth)
     out[start] = lopen
     out.append(lclose)
+    seen[id(lst)] = (start, len(out))
 
 
 def _write_dict(d, out, frags, depth):
@@ -321,7 +341,9 @@ def _write_dict(d, out, frags, depth):
     depth += 1
     if depth == len(frags):
         frags.append(_fragments(depth))
-    _, dopen, sep, _, dclose = frags[depth]
+    _, dopen, sep, _, dclose, seen = frags[depth]
+    if _reuse(d, out, seen):
+        return
     start = len(out)
     for k in sorted(d):
         if not isinstance(k, str):
@@ -343,6 +365,7 @@ def _write_dict(d, out, frags, depth):
             _write(v, out, frags, depth)
     out[start] = dopen
     out.append(dclose)
+    seen[id(d)] = (start, len(out))
 
 
 def write_atomic(path, text):

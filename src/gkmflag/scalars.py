@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
-from operator import add, neg, sub
+from operator import add, itemgetter, neg, sub
 
 
 def _coeff(c):
@@ -425,7 +425,7 @@ class _ScalarBase:
 
     def sorted_terms(self):
         """Terms sorted by the canonical monomial order, leading first."""
-        return sorted(self.terms.items(), key=lambda kv: self._order_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=self._item_key, reverse=True)
 
 
 class CohScalar(_ScalarBase):
@@ -437,6 +437,10 @@ class CohScalar(_ScalarBase):
     def _order_key(k):
         # graded lex with a1 < ... < ar < hbar
         return (sum(k), k[::-1])
+
+    @staticmethod
+    def _item_key(kv):  # _order_key of a (key, coefficient) item, in one call
+        return (sum(kv[0]), kv[0][::-1])
 
     @classmethod
     def linear_form(cls, vec):
@@ -523,6 +527,8 @@ class KScalar(_ScalarBase):
     @staticmethod
     def _order_key(k):
         return k  # lattice-then-y lex
+
+    _item_key = itemgetter(0)
 
     @classmethod
     def character(cls, vec):
@@ -845,32 +851,39 @@ def _frac_str(c):
     return "%d/%d" % (c.numerator, c.denominator) if c.denominator != 1 else str(c.numerator)
 
 
+def _scalar_json(s, terms):
+    """The JSON terms of ``s``, leading first.  ``terms`` maps (theory,
+    exponent key, coefficient) to the term dict built for it, so callers that
+    share one map share each distinct term dict: read-only results."""
+    coh = isinstance(s, CohScalar)
+    out = []
+    for k, c in s.sorted_terms():
+        t = terms.get((coh, k, c))
+        if t is None:
+            t = terms[coh, k, c] = (
+                {"exponents": list(k), "coeff": _frac_str(c)} if coh
+                else {"lattice": list(k[:-1]), "y": k[-1], "coeff": _frac_str(c)}
+            )
+        out.append(t)
+    return out
+
+
+def _fraction_json(f, terms):
+    return {"num": _scalar_json(f.num, terms), "den": _scalar_json(f.den, terms)}
+
+
 def scalar_to_json(s):
-    if isinstance(s, CohScalar):
-        return [
-            {"exponents": list(k), "coeff": _frac_str(c)}
-            for k, c in s.sorted_terms()
-        ]
-    return [
-        {"lattice": list(k[:-1]), "y": k[-1], "coeff": _frac_str(c)}
-        for k, c in s.sorted_terms()
-    ]
+    return _scalar_json(s, {})
 
 
 def scalar_from_json(doc, kind, rank):
     if kind == "H":
-        terms = {}
-        for t in doc:
-            terms[tuple(t["exponents"])] = _coeff(Fraction(t["coeff"]))
-        return CohScalar(rank, terms)
-    terms = {}
-    for t in doc:
-        terms[tuple(t["lattice"]) + (t["y"],)] = _coeff(Fraction(t["coeff"]))
-    return KScalar(rank, terms)
+        return CohScalar(rank, {tuple(t["exponents"]): _coeff(t["coeff"]) for t in doc})
+    return KScalar(rank, {tuple(t["lattice"]) + (t["y"],): _coeff(t["coeff"]) for t in doc})
 
 
 def fraction_to_json(f):
-    return {"num": scalar_to_json(f.num), "den": scalar_to_json(f.den)}
+    return _fraction_json(f, {})
 
 
 def fraction_from_json(doc, kind, rank):

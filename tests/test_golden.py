@@ -4,10 +4,11 @@ Each command runs in-process through ``cli.main``; the sha256 of its stdout
 must equal the recorded hash.  The hashes were taken from the CLI before the
 Segre motivic tables moved to the operator recursion, two more before word
 operators, braid words and the Leibniz rule were each stated once, two
-before the polynomial kernels were rewritten, and the csm suite's three
-before the cell and Schubert action rules were each stated once, so any
-change of a table, an expansion, a report or a witness label in these
-outputs fails here.  When an output changes on purpose, re-record its hash with
+before the polynomial kernels were rewritten, the csm suite's three before
+the cell and Schubert action rules were each stated once, and the last five
+before documents shared their term objects, so any change of a table, an
+expansion, a report or a witness label in these outputs fails here.  When an
+output changes on purpose, re-record its hash with
 ``gkmflag <command> | sha256sum`` and say why in the change log.
 """
 
@@ -67,6 +68,18 @@ GOLDEN = [
      "332a4b61f95b0bda13fea4d93c08d2f61e13fb1830fa651e8053aae80a2ab949"),
     ("verify --suite csm --type B --rank 2",
      "17d886d243077f5c92569f7a10d06ea10fe71c65bd253dec370afbbe4d7f5692"),
+    # JSON exports whose documents repeat many terms: written with shared
+    # term objects and reused text
+    ("classes --type A --rank 3 --family csm",
+     "e466fb49e645cd9a0c336e4a92e502b33dc70780ae96eb3b834ee1ee93208186"),
+    ("classes --type A --rank 3 --family schubert-bminus",
+     "f6aa540ff0c3a380bb400e2604d89e2008643300defb90a8477a1032254798ed"),
+    ("pair --type B --rank 2 --family csm,sm",
+     "5a67098395df1dcefd5095ce40457191321fc4e899599fe87cdea319757b60cd"),
+    ("classes --type C --rank 3 --parabolic 2,3 --family csm",
+     "7b40d19392cea4610022fc4d20d9455ba966e006defe7fd81c44cb89078f107e"),
+    ("classes --type A --rank 3 --parabolic 1,3 --family mc --side Bminus",
+     "ab24e68599810a597130d3bb2472fb0210c886723a80e23841c9fc79573b43d3"),
 ]
 
 

@@ -11,11 +11,27 @@ def reference(doc):
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+# (space, parabolic, family, theory, side); ids keep the names of the A2 cases
+TABLE_CASES = [
+    ("A2", (), "csm", H, "B"),
+    ("A2", (), "mc", K, "B"),
+    ("A2", (), "smc", K, "Bminus"),
+    ("A2", (), "csm", H, "Bminus"),
+    ("A3", (1, 3), "mc", K, "B"),
+]
+
+
+def _table_id(case):
+    label, parabolic, family, theory, side = case
+    where = " %s/%s" % (label, ",".join(map(str, parabolic))) if parabolic else ""
+    return "%s-%s-%s%s" % (family, theory, side, where)
+
+
 @pytest.mark.parametrize(
-    "family,theory,side", [("csm", H, "B"), ("mc", K, "B"), ("smc", K, "Bminus")]
+    "label,parabolic,family,theory,side", TABLE_CASES, ids=[_table_id(c) for c in TABLE_CASES]
 )
-def test_class_table_documents(family, theory, side):
-    space = model.flag_space("A2")
+def test_class_table_documents(label, parabolic, family, theory, side):
+    space = model.flag_space(label, parabolic)
     table = cell_family(space, family, side).table
     expansions = {w: model.expand_schubert(table[w], side=side) for w in space.points}
     doc = io.class_table_document(space, theory, family, side, table, expansions)
@@ -47,6 +63,21 @@ def test_report_documents():
     assert io.dumps_json(doc) == reference(doc)
 
 
+def _shared_documents():
+    """Documents holding one container object in several places."""
+    d = {"a": 1, "b": [2, "x"]}
+    lst = [1, "y", {"k": None}]
+    inner = {"t": [3]}
+    outer = {"i": inner, "j": [inner, inner]}
+    empty_list, empty_dict = [], {}
+    return [
+        [d, d],  # one dict twice in one list
+        {"p": lst, "q": [lst, [lst]], "r": lst},  # one list at three depths
+        [outer, outer, {"o": outer, "i": inner}, [[outer]]],  # shared in shared
+        [empty_list, empty_dict, {"e": empty_list, "f": empty_dict}, [empty_list, empty_dict]],
+    ]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -61,7 +92,8 @@ def test_report_documents():
         None,
         ['quote " and backslash \\', "\n\t\r\b\f\x00\x1f\x7f", "café ∃ \U0001d11e"],
         {"z": 1, "a": {"é": 2, "\"": 3, "\\": 4, "\n": 5}, "M": [1, "2"]},
-    ],
+    ]
+    + _shared_documents(),
 )
 def test_hand_made_documents(doc):
     assert io.dumps_json(doc) == reference(doc)

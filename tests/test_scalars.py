@@ -19,7 +19,9 @@ from gkmflag.scalars import (
     divides_exactly,
     fraction_from_json,
     fraction_to_json,
+    scalar_from_json,
     scalar_gcd,
+    scalar_to_json,
     weyl_act_scalar,
 )
 
@@ -176,6 +178,21 @@ def test_serialization_round_trip():
     assert json.dumps(fraction_to_json(k), sort_keys=True) == json.dumps(
         fraction_to_json(fraction_from_json(doc, "K", 3)), sort_keys=True
     )
+
+
+@pytest.mark.parametrize(
+    "text,value", [("-3", -3), ("5/7", Fraction(5, 7)), ("-10/4", Fraction(-5, 2))]
+)
+def test_coefficient_text_round_trip(text, value):
+    docs = {
+        "H": [{"exponents": [0, 1, 0, 2], "coeff": text}],
+        "K": [{"lattice": [1, 0, -1], "y": 2, "coeff": text}],
+    }
+    for kind, doc in docs.items():
+        s = scalar_from_json(doc, kind, 3)
+        (c,) = s.terms.values()
+        assert c == value and type(c) is type(value)  # integral values stay int
+        assert scalar_from_json(scalar_to_json(s), kind, 3) == s
 
 
 def test_render_smoke():

@@ -6,7 +6,8 @@ their first-failure witnesses must equal the recorded one, so a reordered
 case or a changed label inside a failing identity fails here.  Every table
 is built before the operator is broken, so only the checks see the broken
 operator.  The lists were recorded before the cell and Schubert action rules
-were each stated once.
+were each stated once.  The last pins double one csm cell of A1 instead of
+breaking an operator.
 """
 
 import pytest
@@ -222,3 +223,35 @@ RECORDED = {
 def test_failure_witnesses_match_record(monkeypatch, label, scenario):
     space = flag_space("A2", SPACES[label])
     assert failures(monkeypatch, space, scenario) == RECORDED[label, _scenario_id(scenario)]
+
+
+# one csm cell of A1 doubled, its top cell: every csm identity that reads
+# that table fails, the normalization with the witness the motivic one has
+CSM_DOUBLED = {
+    "B": [
+        ("right DL recursion on csm cells", "i=1 w=e"),
+        ("left DL recursions on csm and sm cells (all four)", "i=1 w=e csm"),
+        ("csm/sm duality matrix is the identity", "(1,1)"),
+        ("csm normalization: cells sum to c(TX)", "sum mismatch"),
+        ("left Weyl action on homogenized csm cells", "i=1 w=e"),
+        ("homogenized left DL recursion", "i=1 w=e"),
+    ],
+    "Bminus": [
+        ("left DL recursions on csm and sm cells (all four)", "i=1 w=e csm-opp"),
+        ("csm/sm duality matrix is the identity", "(1,1)"),
+        ("csm normalization on opposite cells", "sum mismatch"),
+    ],
+}
+
+
+@pytest.mark.parametrize("side", sorted(CSM_DOUBLED))
+def test_doubled_csm_cell_witnesses(monkeypatch, side):
+    space = flag_space("A1")
+    _build_tables(space)
+    top = space.points[-1]
+    table = dict(classes.cell_family(space, "csm", side).table)
+    table[top] = table[top].scale(2)
+    monkeypatch.setitem(
+        space._cache, ("cells", "csm", side), classes.CellClassFamily("csm", side, space, table)
+    )
+    assert classes.verify_class_theorems(space, kinds=("csm",)).failures() == CSM_DOUBLED[side]
