@@ -6,6 +6,10 @@ Four commands: ``classes`` exports a characteristic-class or Schubert table,
 identity failed, 2 usage error (including an option that would be ignored
 or contradicts another, an unreadable fixture table and an unwritable
 ``--out``), 3 internal invariant breach or any other unexpected error.
+
+Exports render what the command holds: a JSON class table also carries the
+Schubert expansion of every class, and only it computes them; CSV and
+LaTeX write the table or matrix of fractions directly.
 """
 
 from __future__ import annotations
@@ -84,25 +88,18 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _emit(args, doc, to_csv, to_latex):
-    fmt = args.format
-    if fmt == "json":
-        text = io_mod.dumps_json(doc)
-    elif fmt == "csv":
-        text = to_csv(doc)
-    elif fmt == "latex":
-        text = to_latex(doc)
-    else:
-        raise UsageError("unknown format %r" % (fmt,))
-    _write(args, text)
-
-
 def cmd_classes(args):
     space = _space(args)
     theory, side, table = _family_table(space, args.family, args.side)
-    expansions = {w: model.expand_schubert(table[w], side=side) for w in space.points}
-    doc = io_mod.class_table_document(space, theory, args.family, side, table, expansions)
-    _emit(args, doc, io_mod.table_to_csv, io_mod.table_to_latex)
+    if args.format == "json":  # only JSON carries the Schubert expansions
+        expansions = {w: model.expand_schubert(table[w], side=side) for w in space.points}
+        doc = io_mod.class_table_document(space, theory, args.family, side, table, expansions)
+        text = io_mod.dumps_json(doc)
+    elif args.format == "csv":
+        text = io_mod.table_to_csv(space, table)
+    else:
+        text = io_mod.table_to_latex(space, table)
+    _write(args, text)
     return 0
 
 
@@ -121,8 +118,13 @@ def cmd_pair(args):
     rows = list(space.points)
     cols = list(space.points)
     matrix = [[model.pair(t1[w], t2[u]) for u in cols] for w in rows]
-    doc = io_mod.matrix_document(space, th1, rows, cols, matrix)
-    _emit(args, doc, io_mod.matrix_to_csv, io_mod.matrix_to_latex)
+    if args.format == "json":
+        text = io_mod.dumps_json(io_mod.matrix_document(space, th1, rows, cols, matrix))
+    elif args.format == "csv":
+        text = io_mod.matrix_to_csv(rows, cols, matrix)
+    else:
+        text = io_mod.matrix_to_latex(rows, cols, matrix)
+    _write(args, text)
     return 0
 
 

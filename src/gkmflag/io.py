@@ -5,6 +5,11 @@ JSON is dumped with sorted keys, so identical jobs produce identical bytes.
 Scalars are always symbolic (exact rationals attached to exponent data);
 nothing is ever rendered through floating point.
 
+Only the JSON class table carries Schubert expansions.  The CSV and LaTeX
+renderers take the table or matrix of fractions the caller holds and write
+each cell with ``scalars.render_fraction``, the one term writer for text, in
+its plain or LaTeX syntax; no JSON document is built or parsed for them.
+
 JSON layout: exactly ``json.dumps(doc, indent=1, sort_keys=True)`` plus a
 trailing newline: non-ASCII characters as ``\\uXXXX`` escapes, one item per
 line indented one space per level, ``","`` ending an item and ``": "`` after
@@ -28,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from .model import LocalizedClass, flag_space
 from .roots import word_str
-from .scalars import CohScalar, _fraction_json, fraction_from_json, render_fraction
+from .scalars import LATEX, _fraction_json, fraction_from_json, render_fraction
 
 
 def space_to_json(space):
@@ -127,120 +132,58 @@ def matrix_document(space, theory, rows, cols, matrix):
 
 
 # ---------------------------------------------------------------------------
-# text renderers
+# text renderers: the fractions themselves, written by ``render_fraction``
 # ---------------------------------------------------------------------------
 
-def latex_scalar(s):
-    if s.is_zero():
-        return "0"
-    parts = []
-    coh = isinstance(s, CohScalar)
-    for k, c in s.sorted_terms():
-        if coh:
-            factors = []
-            for j in range(s.rank):
-                if k[j] == 1:
-                    factors.append(r"\alpha_{%d}" % (j + 1))
-                elif k[j]:
-                    factors.append(r"\alpha_{%d}^{%d}" % (j + 1, k[j]))
-            if k[s.rank] == 1:
-                factors.append(r"\hbar")
-            elif k[s.rank]:
-                factors.append(r"\hbar^{%d}" % k[s.rank])
-            body = " ".join(factors)
-        else:
-            factors = []
-            lat, ye = k[:-1], k[-1]
-            if any(lat):
-                exps = []
-                for j, a in enumerate(lat):
-                    if a == 1:
-                        exps.append(r"+\alpha_{%d}" % (j + 1))
-                    elif a == -1:
-                        exps.append(r"-\alpha_{%d}" % (j + 1))
-                    elif a:
-                        exps.append(r"%+d\alpha_{%d}" % (a, j + 1))
-                factors.append("e^{%s}" % "".join(exps).lstrip("+"))
-            if ye == 1:
-                factors.append("y")
-            elif ye:
-                factors.append("y^{%d}" % ye)
-            body = " ".join(factors)
-        mag = abs(c)
-        if body:
-            txt = body if mag == 1 else "%s %s" % (_latex_rat(mag), body)
-        else:
-            txt = _latex_rat(mag)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + txt)
-        else:
-            parts.append((" - " if c < 0 else " + ") + txt)
-    return "".join(parts)
+def _labels(points):
+    return [word_str(w.word) for w in points]
 
 
-def _latex_rat(q):
-    if getattr(q, "denominator", 1) != 1:
-        return r"\tfrac{%d}{%d}" % (q.numerator, q.denominator)
-    return str(int(q))
+def _table_cells(space, table):
+    """(class label, point label, value) of a class table, in document order."""
+    pts = space.points
+    labels = _labels(pts)
+    for w, lw in zip(pts, labels):
+        values = table[w].values
+        for v, lv in zip(pts, labels):
+            yield lw, lv, values[v]
 
 
-def latex_fraction(f):
-    if f.is_polynomial():
-        return latex_scalar(f.num)
-    return r"\frac{%s}{%s}" % (latex_scalar(f.num), latex_scalar(f.den))
-
-
-def table_to_csv(doc):
-    space = space_from_json(doc["space"])
-    rank = space.rs.rank
-    lines = ["class,point,value"]
-    for entry in doc["entries"]:
-        for item in entry["values"]:
-            frac = fraction_from_json(item["value"], doc["theory"], rank)
-            lines.append(
-                '%s,%s,"%s"' % (entry["label"], item["label"], render_fraction(frac))
-            )
+def _csv(header, cells):
+    """One line per (label, label, fraction) cell, the fraction quoted."""
+    lines = [header]
+    lines.extend('%s,%s,"%s"' % (a, b, render_fraction(f)) for a, b, f in cells)
     return "\n".join(lines) + "\n"
 
 
-def table_to_latex(doc):
-    space = space_from_json(doc["space"])
-    rank = space.rs.rank
+def table_to_csv(space, table):
+    return _csv("class,point,value", _table_cells(space, table))
+
+
+def table_to_latex(space, table):
     out = [r"\begin{tabular}{lll}", r"class & point & value \\ \hline"]
-    for entry in doc["entries"]:
-        for item in entry["values"]:
-            frac = fraction_from_json(item["value"], doc["theory"], rank)
-            out.append(
-                r"$%s$ & $%s$ & $%s$ \\"
-                % (entry["label"], item["label"], latex_fraction(frac))
-            )
+    out.extend(
+        r"$%s$ & $%s$ & $%s$ \\" % (a, b, render_fraction(f, LATEX))
+        for a, b, f in _table_cells(space, table)
+    )
     out.append(r"\end{tabular}")
     return "\n".join(out) + "\n"
 
 
-def matrix_to_csv(doc):
-    space = space_from_json(doc["space"])
-    rank = space.rs.rank
-    lines = ["row,col,value"]
-    for rl, row in zip(doc["rows"], doc["matrix"]):
-        for cl, item in zip(doc["cols"], row):
-            frac = fraction_from_json(item, doc["theory"], rank)
-            lines.append('%s,%s,"%s"' % (rl, cl, render_fraction(frac)))
-    return "\n".join(lines) + "\n"
+def matrix_to_csv(rows, cols, matrix):
+    cl = _labels(cols)
+    return _csv(
+        "row,col,value",
+        ((r, c, f) for r, row in zip(_labels(rows), matrix) for c, f in zip(cl, row)),
+    )
 
 
-def matrix_to_latex(doc):
-    space = space_from_json(doc["space"])
-    rank = space.rs.rank
-    ncols = len(doc["cols"])
-    out = [r"\begin{tabular}{l%s}" % ("l" * ncols)]
-    out.append(" & ".join([""] + ["$%s$" % c for c in doc["cols"]]) + r" \\ \hline")
-    for rl, row in zip(doc["rows"], doc["matrix"]):
-        cells = [
-            "$%s$" % latex_fraction(fraction_from_json(item, doc["theory"], rank))
-            for item in row
-        ]
-        out.append(" & ".join(["$%s$" % rl] + cells) + r" \\")
+def matrix_to_latex(rows, cols, matrix):
+    out = [r"\begin{tabular}{l%s}" % ("l" * len(cols))]
+    out.append(" & ".join([""] + ["$%s$" % c for c in _labels(cols)]) + r" \\ \hline")
+    for r, row in zip(_labels(rows), matrix):
+        cells = ["$%s$" % render_fraction(f, LATEX) for f in row]
+        out.append(" & ".join(["$%s$" % r] + cells) + r" \\")
     out.append(r"\end{tabular}")
     return "\n".join(out) + "\n"
 

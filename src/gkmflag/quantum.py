@@ -126,14 +126,15 @@ def quantum_degrees(space):
 def load_table(doc):
     """Parse and validate a structure table document (dict or JSON text).
 
-    Text that is not JSON and a document with a missing key or a value of the
-    wrong kind raise TableValidationError, like a table that fails validation.
+    Text that is not JSON and a document with a missing key, a value of the
+    wrong kind or a zero denominator raise TableValidationError, like a table
+    that fails validation.
     """
     try:
         table, qdegs = _parse_table(json.loads(doc) if isinstance(doc, str) else doc)
     except TableValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise TableValidationError(
             "malformed table document (%s: %s)" % (type(exc).__name__, exc)
         ) from exc

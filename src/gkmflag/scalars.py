@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 from operator import add, itemgetter, neg, sub
+from typing import NamedTuple
 
 
 def _coeff(c):
@@ -427,6 +428,9 @@ class _ScalarBase:
         """Terms sorted by the canonical monomial order, leading first."""
         return sorted(self.terms.items(), key=self._item_key, reverse=True)
 
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, render_scalar(self))
+
 
 class CohScalar(_ScalarBase):
     """Polynomial in the simple roots and hbar over the rationals."""
@@ -503,9 +507,6 @@ class CohScalar(_ScalarBase):
             out[kk] = c if s is None else s + c
         return CohScalar(self.rank, {k: c for k, c in out.items() if c})
 
-    def __repr__(self):
-        return "CohScalar(%s)" % render_coh(self)
-
 
 @lru_cache(maxsize=None)
 def _linear_forms(w_images):
@@ -571,9 +572,6 @@ class KScalar(_ScalarBase):
             s = out.get(key)
             out[key] = c if s is None else s + c
         return KScalar(self.rank, {k: c for k, c in out.items() if c})
-
-    def __repr__(self):
-        return "KScalar(%s)" % render_k(self)
 
 
 def scalar_gcd(a, b):
@@ -770,75 +768,71 @@ def _normalize_unit(num, den):
 
 
 # ---------------------------------------------------------------------------
-# rendering (plain text, used by repr and the CSV output)
+# text: one term writer, two syntaxes (plain for repr and CSV, and LaTeX)
 # ---------------------------------------------------------------------------
 
-def _render_terms(s, mono_fn):
-    if s.is_zero():
+class TextSyntax(NamedTuple):
+    """The format strings of one text syntax for scalars and fractions."""
+
+    root: str       # the simple root alpha_j, from j
+    hbar: str
+    power: str      # a variable's name to an exponent other than 1
+    times: str      # between the factors of a monomial
+    scaled: str     # a magnitude other than 1, then a monomial
+    rational: str   # a magnitude that is not an integer, from its two parts
+    multiple: str   # a multiple other than -1 and 1 of a root, in e^{...}
+    character: str  # e^{lambda}, from the text of lambda
+    fraction: str   # numerator, then denominator
+
+
+PLAIN = TextSyntax("a%d", "h", "%s^%d", "*", "%s*%s", "%d/%d", "%+d*%s", "E[%s]", "(%s)/(%s)")
+LATEX = TextSyntax(
+    r"\alpha_{%d}", r"\hbar", "%s^{%d}", " ", "%s %s", r"\tfrac{%d}{%d}", "%+d%s", "e^{%s}",
+    r"\frac{%s}{%s}",
+)
+
+
+def render_scalar(s, syntax=PLAIN):
+    """``s`` as text, leading term first: each term a sign, a magnitude
+    (left out when it is 1 and a monomial follows) and a monomial."""
+    if not s.terms:
         return "0"
+    rank = s.rank
+    roots = [syntax.root % (j + 1) for j in range(rank)]
+    k_theory = isinstance(s, KScalar)
+    last = "y" if k_theory else syntax.hbar
     parts = []
     for k, c in s.sorted_terms():
-        body = mono_fn(k)
-        if body:
-            t = body if abs(c) == 1 else "%s*%s" % (abs(c), body)
+        if k_theory:
+            lam = "".join(
+                ("+" if a == 1 else "-") + name if a in (1, -1) else syntax.multiple % (a, name)
+                for a, name in zip(k, roots) if a
+            )
+            factors = [syntax.character % lam.lstrip("+")] if lam else []
         else:
-            t = str(abs(c))
-        if not parts:
-            parts.append(("-" if c < 0 else "") + t)
-        else:
-            parts.append((" - " if c < 0 else " + ") + t)
+            factors = [name if e == 1 else syntax.power % (name, e)
+                       for e, name in zip(k, roots) if e]
+        e = k[rank]
+        if e:
+            factors.append(last if e == 1 else syntax.power % (last, e))
+        mag = abs(c)
+        n, d = mag.numerator, mag.denominator
+        text = str(n) if d == 1 else syntax.rational % (n, d)
+        if factors:
+            body = syntax.times.join(factors)
+            text = body if mag == 1 else syntax.scaled % (text, body)
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        parts.append(text)
     return "".join(parts)
 
 
-def render_coh(s):
-    def mono(k):
-        factors = []
-        for j in range(s.rank):
-            if k[j] == 1:
-                factors.append("a%d" % (j + 1))
-            elif k[j]:
-                factors.append("a%d^%d" % (j + 1, k[j]))
-        if k[s.rank] == 1:
-            factors.append("h")
-        elif k[s.rank]:
-            factors.append("h^%d" % k[s.rank])
-        return "*".join(factors)
-
-    return _render_terms(s, mono)
-
-
-def render_k(s):
-    def mono(key):
-        lat, ye = key[:-1], key[-1]
-        factors = []
-        if any(lat):
-            exps = []
-            for j, a in enumerate(lat):
-                if a == 1:
-                    exps.append("+a%d" % (j + 1))
-                elif a == -1:
-                    exps.append("-a%d" % (j + 1))
-                elif a:
-                    exps.append("%+d*a%d" % (a, j + 1))
-            joined = "".join(exps).lstrip("+")
-            factors.append("E[%s]" % joined)
-        if ye == 1:
-            factors.append("y")
-        elif ye:
-            factors.append("y^%d" % ye)
-        return "*".join(factors)
-
-    return _render_terms(s, mono)
-
-
-def render_scalar(s):
-    return render_coh(s) if isinstance(s, CohScalar) else render_k(s)
-
-
-def render_fraction(f):
+def render_fraction(f, syntax=PLAIN):
     if f.is_polynomial():
-        return render_scalar(f.num)
-    return "(%s)/(%s)" % (render_scalar(f.num), render_scalar(f.den))
+        return render_scalar(f.num, syntax)
+    return syntax.fraction % (render_scalar(f.num, syntax), render_scalar(f.den, syntax))
 
 
 # ---------------------------------------------------------------------------
@@ -877,9 +871,10 @@ def scalar_to_json(s):
 
 
 def scalar_from_json(doc, kind, rank):
+    """Parse JSON terms; zero coefficients are dropped, as arithmetic does."""
     if kind == "H":
-        return CohScalar(rank, {tuple(t["exponents"]): _coeff(t["coeff"]) for t in doc})
-    return KScalar(rank, {tuple(t["lattice"]) + (t["y"],): _coeff(t["coeff"]) for t in doc})
+        return CohScalar.from_terms(rank, {tuple(t["exponents"]): t["coeff"] for t in doc})
+    return KScalar.from_terms(rank, {tuple(t["lattice"]) + (t["y"],): t["coeff"] for t in doc})
 
 
 def fraction_to_json(f):
@@ -887,7 +882,7 @@ def fraction_to_json(f):
 
 
 def fraction_from_json(doc, kind, rank):
-    return ScalarFraction(
-        scalar_from_json(doc["num"], kind, rank),
-        scalar_from_json(doc["den"], kind, rank),
-    )
+    den = scalar_from_json(doc["den"], kind, rank)
+    if den.is_zero():
+        raise ValueError("fraction with zero denominator")
+    return ScalarFraction(scalar_from_json(doc["num"], kind, rank), den)

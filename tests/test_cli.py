@@ -217,6 +217,28 @@ def test_non_minimal_table_label_exits_2(tmp_path, capsys, label):
     assert "the label '%s'" % label in captured.err
 
 
+_ONE_K = [{"coeff": "1", "lattice": [0, 0, 0], "y": 0}]
+
+
+@pytest.mark.parametrize("coeff", [
+    {"num": [{"coeff": "1/0", "lattice": [0, 0, 0], "y": 0}], "den": _ONE_K},
+    {"num": _ONE_K, "den": []},
+    {"num": _ONE_K, "den": [{"coeff": "0", "lattice": [0, 0, 0], "y": 0}]},
+], ids=["zero-coefficient-denominator", "empty-denominator", "zero-denominator-term"])
+def test_zero_denominator_in_table_exits_2(tmp_path, capsys, coeff):
+    from gkmflag.quantum import fixture_dir
+
+    with open(os.path.join(fixture_dir(), "gr24_qk_partial.json")) as f:
+        doc = json.load(f)
+    doc["entries"][0]["terms"].append({"w": "1-2", "qdeg": [1], "coeff": coeff})
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["quantum", "--fixtures", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("invalid table: ") and captured.err.count("\n") == 1
+
+
 def test_fixtures_outside_quantum_suites_exits_2(capsys):
     rc = main(["verify", "--suite", "operators", "--type", "A", "--rank", "1",
                "--fixtures", "/nonexistent/x.json"])

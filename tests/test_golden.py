@@ -5,10 +5,11 @@ must equal the recorded hash.  The hashes were taken from the CLI before the
 Segre motivic tables moved to the operator recursion, two more before word
 operators, braid words and the Leibniz rule were each stated once, two
 before the polynomial kernels were rewritten, the csm suite's three before
-the cell and Schubert action rules were each stated once, and the last five
-before documents shared their term objects, so any change of a table, an
-expansion, a report or a witness label in these outputs fails here.  When an
-output changes on purpose, re-record its hash with
+the cell and Schubert action rules were each stated once, five before
+documents shared their term objects, and the two LaTeX matrices before CSV
+and LaTeX exports stopped going through the JSON document, so any change
+of a table, an expansion, a report or a witness label in these outputs fails
+here.  When an output changes on purpose, re-record its hash with
 ``gkmflag <command> | sha256sum`` and say why in the change log.
 """
 
@@ -16,6 +17,7 @@ import hashlib
 
 import pytest
 
+from gkmflag import model
 from gkmflag.cli import main
 
 GOLDEN = [
@@ -80,6 +82,11 @@ GOLDEN = [
      "7b40d19392cea4610022fc4d20d9455ba966e006defe7fd81c44cb89078f107e"),
     ("classes --type A --rank 3 --parabolic 1,3 --family mc --side Bminus",
      "ab24e68599810a597130d3bb2472fb0210c886723a80e23841c9fc79573b43d3"),
+    # pairing matrices in LaTeX: fractions and polynomials in the cells
+    ("pair --type B --rank 2 --family csm,sm --format latex",
+     "7ddf5c79638b8a7b64aad9beab932e6c36ee24a13d5d7ce737b7f92ca1932417"),
+    ("pair --type A --rank 3 --parabolic 1,2 --family mc,smc --format latex",
+     "8547ae24047005ae13bc7841d94ae48037bd80d6bc4210d351f588ccb7fd4b1d"),
 ]
 
 
@@ -88,3 +95,35 @@ def test_stdout_matches_recorded_hash(capsys, command, digest):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+TEXT_EXPORTS = [(c, d) for c, d in GOLDEN
+                if c.startswith("classes") and ("--format csv" in c or "--format latex" in c)]
+
+
+@pytest.mark.parametrize("command,digest", TEXT_EXPORTS, ids=[c for c, _ in TEXT_EXPORTS])
+def test_text_exports_compute_no_expansion(monkeypatch, capsys, command, digest):
+    # CSV and LaTeX carry no Schubert expansion, so they must not compute one
+    def refuse(*args, **kwargs):
+        raise RuntimeError("expand_schubert called")
+
+    monkeypatch.setattr(model, "expand_schubert", refuse)
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_json_export_computes_the_expansions(monkeypatch, capsys):
+    calls = []
+    expand = model.expand_schubert
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(model, "expand_schubert", counted)
+    assert main("classes --type A --rank 2 --family smc".split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == dict(GOLDEN)[
+        "classes --type A --rank 2 --family smc"]
+    assert len(calls) == len(model.flag_space("A2").points)

@@ -107,3 +107,56 @@ def test_hand_made_documents(doc):
 def test_rejects_unsupported_values_and_keys(doc):
     with pytest.raises(TypeError):
         io.dumps_json(doc)
+
+
+# Scalar text that no CLI export shows (the CLI never prints hbar), pinned in
+# both syntaxes: (fraction, plain text, LaTeX text).
+def _text_cases():
+    from fractions import Fraction
+
+    from gkmflag.classes import homogenize_csm
+    from gkmflag.scalars import CohScalar, KScalar, ScalarFraction
+
+    b2 = model.flag_space("B2")
+    point = io.point_parser(b2)
+    hz = homogenize_csm(cell_family(b2, "csm", "B").table[point("2-1-2")])
+    coh = ScalarFraction(
+        CohScalar(2, {(2, 0, 1): Fraction(3, 2), (0, 1, 3): -1, (1, 1, 0): Fraction(-5, 4),
+                      (0, 0, 2): 2, (0, 0, 0): Fraction(1, 3)}),
+        CohScalar(2, {(1, 0, 0): 1, (0, 0, 1): Fraction(2, 3)}),
+    )
+    k = ScalarFraction(
+        KScalar(2, {(1, -2, 0): 1, (-1, 2, 1): Fraction(-1, 2), (2, 1, 3): 3, (-2, -1, 0): -1,
+                    (0, 0, 2): Fraction(7, 5), (0, 0, 0): -2, (0, 1, 1): 1}),
+        KScalar(2, {(0, 0, 0): 1, (-1, 0, 1): -1}),
+    )
+    return [
+        (hz.values[point("1-2")],
+         "-2*a2*h^3 - a1*h^3 - 2*a2^2*h^2 - 5*a1*a2*h^2 - 2*a1^2*h^2 - 2*a1*a2^2*h"
+         " - 3*a1^2*a2*h - a1^3*h",
+         r"-2 \alpha_{2} \hbar^{3} - \alpha_{1} \hbar^{3} - 2 \alpha_{2}^{2} \hbar^{2}"
+         r" - 5 \alpha_{1} \alpha_{2} \hbar^{2} - 2 \alpha_{1}^{2} \hbar^{2}"
+         r" - 2 \alpha_{1} \alpha_{2}^{2} \hbar - 3 \alpha_{1}^{2} \alpha_{2} \hbar"
+         r" - \alpha_{1}^{3} \hbar"),
+        (coh,
+         "(-a2*h^3 + 3/2*a1^2*h + 2*h^2 - 5/4*a1*a2 + 1/3)/(2/3*h + a1)",
+         r"\frac{-\alpha_{2} \hbar^{3} + \tfrac{3}{2} \alpha_{1}^{2} \hbar + 2 \hbar^{2}"
+         r" - \tfrac{5}{4} \alpha_{1} \alpha_{2} + \tfrac{1}{3}}{\tfrac{2}{3} \hbar + \alpha_{1}}"),
+        (k,
+         "(3*E[2*a1+a2]*y^3 + E[a1-2*a2] + E[a2]*y + 7/5*y^2 - 2 - 1/2*E[-a1+2*a2]*y"
+         " - E[-2*a1-a2])/(1 - E[-a1]*y)",
+         r"\frac{3 e^{2\alpha_{1}+\alpha_{2}} y^{3} + e^{\alpha_{1}-2\alpha_{2}}"
+         r" + e^{\alpha_{2}} y + \tfrac{7}{5} y^{2} - 2"
+         r" - \tfrac{1}{2} e^{-\alpha_{1}+2\alpha_{2}} y"
+         r" - e^{-2\alpha_{1}-\alpha_{2}}}{1 - e^{-\alpha_{1}} y}"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["homogenized-csm", "coh-rational", "k-lattice"])
+def test_scalar_text_in_both_syntaxes(index):
+    from gkmflag.scalars import LATEX, PLAIN, render_fraction
+
+    f, plain, latex = _text_cases()[index]
+    assert render_fraction(f) == render_fraction(f, PLAIN) == plain
+    assert render_fraction(f, LATEX) == latex
+    assert repr(f) == "Frac(%s)" % plain

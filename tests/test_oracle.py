@@ -26,9 +26,15 @@ def _classes(space, family, fmt="json"):
             "parabolic": tuple(int(p) for p in par.split(",")) if par else ()}
 
 
+def _pair(space, families, fmt):
+    return {"command": "pair", "type": space, "parabolic": (), "format": fmt,
+            "families": tuple(families.split(","))}
+
+
 def _jobs():
-    # smc on B2 and A3/{1,3} takes 5 to 12 s per export, nearly all of it
-    # in the Schubert expansion (model.expand_schubert), not the table
+    # JSON smc on B2 and A3/{1,3} takes 5 to 12 s per export, nearly all of
+    # it in the Schubert expansion (model.expand_schubert), which only JSON
+    # carries; their CSV exports take a tenth of a second
     for space in ("A1", "A2", "B2", "A3/1,3"):
         for family in FAMILIES:
             if family != "smc" or space in ("A1", "A2"):
@@ -39,11 +45,17 @@ def _jobs():
         for family in FAMILIES:
             yield _classes("A2", family, fmt)
     for families in ("csm,sm", "mc,smc", "kschubert-b,kschubert-bminus"):
-        yield {"command": "pair", "type": "A2", "parabolic": (), "format": "json",
-               "families": tuple(families.split(","))}
+        yield _pair("A2", families, "json")
     for space in ("D4/1,2,3", "A4/1,2,3", "A4/2,3,4"):
         for family in ("csm", "mc", "kschubert-b"):
             yield _classes(space, family)
+    # appended, so that the jobs above keep their seeds
+    yield _classes("B2", "smc", "csv")
+    yield _classes("A3/1,3", "smc", "csv")
+    yield _classes("G2", "sm", "latex")
+    for fmt in ("csv", "latex"):
+        yield _pair("A2", "mc,smc", fmt)
+        yield _pair("B2", "csm,sm", fmt)
 
 
 JOBS = list(_jobs())
