@@ -26,8 +26,6 @@ checks it for every family, side and direction of step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     H,
     K,
@@ -57,14 +55,14 @@ from .scalars import CohScalar, KScalar, ScalarFraction, _normalize_unit, divide
 FAMILIES = ("csm", "sm", "mc", "smc")
 
 
-@dataclass
 class CellClassFamily:
     """A full table of cell classes of one family and side."""
 
-    family: str
-    side: str
-    space: object
-    table: dict
+    def __init__(self, family, side, space, table):
+        self.family = family
+        self.side = side
+        self.space = space
+        self.table = table
 
     def __getitem__(self, w):
         return self.table[w]

@@ -15,7 +15,6 @@ sums of polynomial classes accumulate a single numerator and reduce once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .roots import ParabolicSubset, build_root_system, word_str
@@ -530,14 +529,14 @@ def gkm_check(a):
     return ("pass", None)
 
 
-@dataclass
 class SchubertExpansion:
     """Coefficients of a class in one of the four Schubert bases."""
 
-    space: FlagSpace
-    theory: str
-    side: str
-    coeffs: dict
+    def __init__(self, space, theory, side, coeffs):
+        self.space = space
+        self.theory = theory
+        self.side = side
+        self.coeffs = coeffs
 
     def nonzero(self):
         return {w: c for w, c in self.coeffs.items() if not c.is_zero()}

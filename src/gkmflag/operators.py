@@ -65,7 +65,6 @@ once, in ``check_dd``, for both operators, both sides and both theories.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import partial
 
 from .model import H, K, LocalizedClass, fixed_point_class, pair
@@ -329,13 +328,13 @@ def all_reduced_words(w):
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
     """Pass/fail record of an identity suite with failure witnesses."""
 
-    suite: str
-    space_label: str
-    entries: list = field(default_factory=list)
+    def __init__(self, suite, space_label):
+        self.suite = suite
+        self.space_label = space_label
+        self.entries = []
 
     def record(self, identity, ok, witness=None):
         self.entries.append((identity, "pass" if ok else "fail", None if ok else witness))

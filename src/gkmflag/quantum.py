@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import dataclass
 from functools import partial
 
 from .io import point_parser, space_from_json
@@ -82,14 +81,14 @@ def _classical_theory(theory):
     raise ValueError("theory must be QH or QK")
 
 
-@dataclass
 class StructureTable:
     """A (possibly partial) table of quantum structure constants."""
 
-    space: object
-    theory: str
-    qnodes: tuple          # simple indices carrying a quantum parameter
-    entries: dict          # (u, v) sorted pair -> tuple of (w, qdeg, coeff)
+    def __init__(self, space, theory, qnodes, entries):
+        self.space = space
+        self.theory = theory
+        self.qnodes = qnodes  # simple indices carrying a quantum parameter
+        self.entries = entries  # (u, v) sorted pair -> tuple of (w, qdeg, coeff)
 
     def key(self, u, v):
         return tuple(sorted((u, v), key=lambda x: (x.length, x.word)))
@@ -235,13 +234,13 @@ def _validate_table(table, qdegs):
 # q-graded classes and operators
 # ---------------------------------------------------------------------------
 
-@dataclass
 class QuantumClass:
     """A finite q-graded combination of opposite Schubert basis classes."""
 
-    space: object
-    theory: str
-    terms: dict  # qdeg tuple -> {w: ScalarFraction}
+    def __init__(self, space, theory, terms):
+        self.space = space
+        self.theory = theory
+        self.terms = terms  # qdeg tuple -> {w: ScalarFraction}
 
     @classmethod
     def basis_element(cls, space, theory, w, qdeg=None, arity=None):
@@ -418,15 +417,15 @@ class FormalQElem:
         return " + ".join(bits)
 
 
-@dataclass
 class GeneratorFacts:
     """Single-generator operator facts feeding the formal Leibniz engine."""
 
-    rs: object
-    i: int
-    kind: str      # H for the QH rules, K for the QK rules
-    delta: dict    # generator name -> FormalQElem
-    sweyl: dict    # generator name -> FormalQElem
+    def __init__(self, rs, i, kind, delta, sweyl):
+        self.rs = rs
+        self.i = i
+        self.kind = kind  # H for the QH rules, K for the QK rules
+        self.delta = delta  # generator name -> FormalQElem
+        self.sweyl = sweyl  # generator name -> FormalQElem
 
 
 def formal_leibniz_eval(facts, x):

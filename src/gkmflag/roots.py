@@ -21,7 +21,6 @@ one.  Everything is immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 Vec = tuple  # integer vector in the simple-root basis
@@ -154,15 +153,18 @@ def parse_word(text):
     return tuple(int(p) for p in text.split("-"))
 
 
-@dataclass(frozen=True)
 class RootDatum:
-    """Cartan data of a finite root system together with its Weyl group."""
+    """Cartan data of a finite root system together with its Weyl group.
 
-    type_label: str
-    rank: int
-    cartan: tuple
-    positive_roots: tuple
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    One instance per type label: compares by identity, hashes by label.
+    """
+
+    def __init__(self, type_label, rank, cartan, positive_roots):
+        self.type_label = type_label
+        self.rank = rank
+        self.cartan = cartan
+        self.positive_roots = positive_roots
+        self._cache = {}
 
     def __hash__(self):
         return hash(self.type_label)
@@ -357,13 +359,13 @@ def bruhat_leq(u, v):
     return rec(u, v)
 
 
-@dataclass(frozen=True)
 class ParabolicSubset:
     """A subset S of the simple roots with its coset combinatorics cached."""
 
-    rs: RootDatum
-    indices: tuple
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, rs, indices):
+        self.rs = rs
+        self.indices = indices
+        self._cache = {}
 
     def __hash__(self):
         return hash((self.rs.type_label, self.indices))

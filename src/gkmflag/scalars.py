@@ -183,11 +183,13 @@ def _rat_primitive(f):
     }
 
 
-def _p_gcd(f, g):
+def _p_gcd(f, g, not_multiple=False):
     """Gcd of polynomial dicts with non-negative exponents.
 
     The result is integer-primitive with positive leading coefficient; the
     gcd of two zero polynomials is zero and gcd with a constant is one.
+    ``not_multiple`` says the caller found that g does not divide f, which
+    spares the trial f/g where both are shifted alike.
     """
     if not f:
         return _rat_primitive(g)
@@ -209,15 +211,12 @@ def _p_gcd(f, g):
         core = one
     else:
         # multiples reduce completely in one try; common in the geometry
-        q = _p_div_exact(f, g)
-        if q is not None:
+        if not (not_multiple and mf == mg) and _p_div_exact(f, g) is not None:
             core = _rat_primitive(g)
+        elif _p_div_exact(g, f) is not None:
+            core = _rat_primitive(f)
         else:
-            q = _p_div_exact(g, f)
-            if q is not None:
-                core = _rat_primitive(f)
-            else:
-                core = _gcd_prs(f, g, nv)
+            core = _gcd_prs(f, g, nv)
     if any(mono):
         core = _p_shift(core, mono)
     return core
@@ -574,9 +573,11 @@ class KScalar(_ScalarBase):
         return KScalar(self.rank, {k: c for k, c in out.items() if c})
 
 
-def scalar_gcd(a, b):
+def scalar_gcd(a, b, not_multiple=False):
     """Gcd in the scalar ring; KScalar inputs are shifted to genuine
-    polynomials first, so the result has min exponent zero per variable."""
+    polynomials first, so the result has min exponent zero per variable.
+    ``not_multiple`` says the caller has found, as ``divides_exactly`` does,
+    that b does not divide a."""
     fa, fb = a.terms, b.terms
     if isinstance(a, KScalar):
         if fa:
@@ -587,7 +588,7 @@ def scalar_gcd(a, b):
             m = _min_exps(fb)
             if any(m):
                 fb = _p_shift(fb, tuple(map(neg, m)))
-    g = _p_gcd(fa, fb)
+    g = _p_gcd(fa, fb, not_multiple)
     return type(a)(a.rank, g)
 
 
@@ -659,7 +660,7 @@ class ScalarFraction:
             ok, q = divides_exactly(den, num)
             if ok:
                 return cls(q, type(num).one(num.rank))
-            g = scalar_gcd(num, den)
+            g = scalar_gcd(num, den, not_multiple=True)
             if not g.is_one():
                 ok, num = divides_exactly(g, num)
                 ok2, den = divides_exactly(g, den)
@@ -882,7 +883,8 @@ def fraction_to_json(f):
 
 
 def fraction_from_json(doc, kind, rank):
+    """Parse a fraction and reduce it, so a document may write it unreduced."""
     den = scalar_from_json(doc["den"], kind, rank)
     if den.is_zero():
         raise ValueError("fraction with zero denominator")
-    return ScalarFraction(scalar_from_json(doc["num"], kind, rank), den)
+    return ScalarFraction.make(scalar_from_json(doc["num"], kind, rank), den)

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +10,7 @@ from gkmflag.cli import main
 from gkmflag.io import load_class_table
 from gkmflag.model import flag_space
 from gkmflag.classes import cell_family
-from gkmflag.scalars import CohScalar, ScalarFraction
+from gkmflag.scalars import CohScalar, ScalarFraction, fraction_from_json, fraction_to_json
 
 
 def run(tmp_path, *argv):
@@ -59,12 +61,22 @@ def test_round_trip_classes(tmp_path):
         tmp_path, "classes", "--type", "A", "--rank", "2", "--family", "smc"
     )
     assert rc == 0
-    space, theory, table = load_class_table(json.loads(text))
+    doc = json.loads(text)
+    space, theory, table = load_class_table(doc)
     expected = cell_family(flag_space("A2"), "smc", "Bminus").table
     for w in space.points:
         from gkmflag.roots import word_str
 
         assert table[word_str(w.word)] == expected[w]
+
+    # a value written unreduced loads as its reduced fraction
+    for item in (i for e in doc["entries"] for i in e["values"]):
+        f = fraction_from_json(item["value"], theory, 2)
+        if not f.is_polynomial():
+            break
+    g = f.den + f.num.one(2)
+    item["value"] = fraction_to_json(ScalarFraction(f.num * g, f.den * g))
+    assert load_class_table(doc)[2] == table
 
 
 def test_out_file_mode_matches_open(tmp_path):
@@ -239,6 +251,23 @@ def test_zero_denominator_in_table_exits_2(tmp_path, capsys, coeff):
     assert captured.err.startswith("invalid table: ") and captured.err.count("\n") == 1
 
 
+def test_unreduced_fixture_coefficient_is_accepted(tmp_path):
+    from gkmflag.quantum import fixture_dir
+
+    packaged = os.path.join(fixture_dir(), "gr24_qk_partial.json")
+    with open(packaged) as f:
+        doc = json.load(f)
+    # (2 - 2e^{-a1-a2}) / 2 is the fixture's 1 - e^{-a1-a2}
+    coeff = doc["entries"][0]["terms"][0]["coeff"]
+    for t in coeff["num"] + coeff["den"]:
+        t["coeff"] = str(2 * int(t["coeff"]))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    rc, text = run(tmp_path, "quantum", "--fixtures", str(path))
+    assert rc == 0
+    assert text == run(tmp_path, "quantum", "--fixtures", packaged)[1]
+
+
 def test_fixtures_outside_quantum_suites_exits_2(capsys):
     rc = main(["verify", "--suite", "operators", "--type", "A", "--rank", "1",
                "--fixtures", "/nonexistent/x.json"])
@@ -304,3 +333,27 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("internal invariant breach: KeyError") and err.count("\n") == 1
+
+
+def test_no_start_up_import_of_dataclasses_or_inspect(tmp_path):
+    # dataclasses imports inspect, and with it ast, dis and tokenize: about a
+    # third of the import time of a CLI process.  -S keeps out the modules
+    # that an environment's site hooks import.
+    code = (
+        "import sys\n"
+        "import gkmflag.cli, gkmflag\n"
+        "from gkmflag.cli import main\n"
+        "banned = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+        "print(sorted(m for m in banned if m in sys.modules))\n"
+        "out = sys.argv[1]\n"
+        "rcs = [main(['verify', '--suite', 'all', '--type', 'A', '--rank', '2', '--out', out]),\n"
+        "       main(['quantum', '--out', out]),\n"
+        "       main(['classes', '--type', 'A', '--rank', '2', '--family', 'mc',\n"
+        "             '--format', 'csv', '--out', out])]\n"
+        "print(rcs, sorted(m for m in banned if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(tmp_path / "out.txt")],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n[0, 0, 0] []\n"

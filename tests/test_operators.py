@@ -14,6 +14,7 @@ from gkmflag.operators import (
     NonDivisibilityError,
     NonReducedWordError,
     RightOperatorOnParabolicError,
+    VerificationReport,
     apply_word,
     bgg_left,
     bgg_right,
@@ -301,3 +302,11 @@ def test_report_serialization():
     doc = rep.to_json()
     assert doc["suite"] == "operators:H"
     assert all(r["status"] == "pass" for r in doc["results"])
+
+
+def test_reports_do_not_share_entries():
+    a = VerificationReport("operators:H", "A1/B")
+    b = VerificationReport("operators:H", "A1/B")
+    a.record("one", True)
+    assert a.entries == [("one", "pass", None)] and b.entries == []
+    assert b.ok and not b.failures()

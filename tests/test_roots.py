@@ -7,6 +7,7 @@ import pytest
 
 from gkmflag.roots import (
     ParabolicSubset,
+    RootDatum,
     UnknownTypeError,
     act_on_weight,
     bruhat_leq,
@@ -170,6 +171,27 @@ def test_bruhat_examples_and_oracle():
         for u in weyl_elements(rs):
             for v in weyl_elements(rs):
                 assert bruhat_leq(u, v) == _subword_oracle(u, v)
+
+
+def test_root_datum_compares_by_identity_and_hashes_by_label():
+    a2 = build_root_system("A2")
+    twin = RootDatum(a2.type_label, a2.rank, a2.cartan, a2.positive_roots)
+    assert build_root_system("A2") is a2
+    assert twin != a2 and twin == twin
+    assert hash(twin) == hash(a2) == hash("A2")
+
+
+def test_parabolic_subset_equality_hash_and_own_cache():
+    a3 = build_root_system("A3")
+    p = ParabolicSubset.create(a3, (3, 1, 3))
+    q = ParabolicSubset(a3, (1, 3))
+    assert p == q and hash(p) == hash(q) == hash(("A3", (1, 3)))
+    assert p != ParabolicSubset(a3, (1,))
+    twin = RootDatum(a3.type_label, a3.rank, a3.cartan, a3.positive_roots)
+    assert p != ParabolicSubset(twin, (1, 3))
+    assert p.minimal_representatives == q.minimal_representatives
+    assert p._cache is not q._cache and p._cache is not a3._cache
+    assert ParabolicSubset(a3, (2,))._cache == {}
 
 
 def test_coset_decompose():

@@ -14,6 +14,7 @@ from gkmflag.scalars import (
     KScalar,
     ScalarFraction,
     _p_div_exact,
+    _p_gcd,
     _p_mul,
     _rat_primitive,
     divides_exactly,
@@ -293,6 +294,26 @@ def test_p_div_exact_quotient_or_none(fractions):
     assert _p_div_exact({}, {(1, 0): 2}) == {}
     with pytest.raises(ZeroDivisionError):
         _p_div_exact({(1, 0): 1}, {})
+
+
+def test_gcd_told_of_a_failed_trial_is_unchanged():
+    # ScalarFraction.make passes on its failed trial num/den; the gcd and its
+    # term order stay as without it: where the trial is skipped (cofactors
+    # with a constant term shift f and g alike) and where unequal monomial
+    # shifts make the shifted trial exact (g = monomial * h)
+    rng = random.Random(17)
+    done = 0
+    while done < 150:
+        nv = rng.randrange(2, 4)
+        h = rand_poly(rng, nv, rng.randrange(1, 4))
+        lift = {(0,) * nv: 1} if done % 3 == 1 else {}
+        f = naive_mul(h, naive_add(rand_poly(rng, nv, rng.randrange(1, 4)), lift))
+        g = naive_mul(h, naive_add(rand_poly(rng, nv, rng.randrange(1, 4)), lift)
+                      if done % 3 else rand_monomial(rng, nv))
+        if not f or not g or _p_div_exact(f, g) is not None:
+            continue
+        assert list(_p_gcd(f, g, not_multiple=True).items()) == list(_p_gcd(f, g).items())
+        done += 1
 
 
 def test_rat_primitive_matches_rational_scaling():
