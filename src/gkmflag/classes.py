@@ -22,10 +22,15 @@ than used as constructors.
 The paper's main theorem, how T_i acts on Chern cells and its dual on
 Segre cells, is stated once, in ``_dl_cases``; ``verify_class_theorems``
 checks it for every family, side and direction of step.
+
+Schubert expansions come from ``family_expansions``: of Chern cells by the
+left operators in Schubert coordinates, which the suites check by
+rebuilding the cells (``_expansion_cases``), and of Segre cells by a peel.
 """
 
 from __future__ import annotations
 
+from . import model
 from .model import (
     H,
     K,
@@ -50,9 +55,15 @@ from .operators import (
     weyl_left,
 )
 from .roots import bruhat_leq, word_str
-from .scalars import CohScalar, KScalar, ScalarFraction, _normalize_unit, divides_exactly
+from .scalars import (CohScalar, KScalar, ScalarFraction, _normalize_unit, divides_exactly,
+                      weyl_act_scalar)
 
 FAMILIES = ("csm", "sm", "mc", "smc")
+
+# every table family: name -> (theory, own side); cell families take either side
+FAMILY_INFO = {"csm": (H, "B"), "sm": (H, "B"), "mc": (K, "B"), "smc": (K, "Bminus"),
+               "schubert-b": (H, "B"), "schubert-bminus": (H, "Bminus"),
+               "kschubert-b": (K, "B"), "kschubert-bminus": (K, "Bminus")}
 
 
 class CellClassFamily:
@@ -132,6 +143,73 @@ def _over_ambient(space, theory, table):
                 num, den = q, divides_exactly(p, den)[1]
         return ScalarFraction(*_normalize_unit(num, den))
     return {w: a.map_values(quotient) for w, a in table.items()}
+
+
+def family_expansions(space, family, side="B"):
+    """{w: SchubertExpansion} of every class of a ``FAMILY_INFO`` table, in
+    the basis of its side.  Chern cells (``_left_coordinates``) and Schubert
+    classes (unit vectors) are cached; Segre cells are peeled by
+    ``model.expand_schubert`` on every call, as any class is."""
+    if family in ("sm", "smc"):
+        table = cell_family(space, family, side).table
+        return {w: model.expand_schubert(table[w], side=side) for w in space.points}
+    key = ("expansions", family, side)
+    if key not in space._cache:
+        theory, own_side = FAMILY_INFO.get(family, (None, None))
+        if theory is None or side not in ("B", "Bminus") or (
+                family not in FAMILIES and side != own_side):
+            raise ValueError("no expansions of family %r on side %r" % (family, side))
+        if family in FAMILIES:  # csm or mc
+            coords = _left_coordinates(space, theory)
+            if side == "Bminus":  # the w0 twist: w0^L(f S_v) = w0(f) S^{rep(w0 v)}
+                w0, rep = space.rs.longest_element, space.rep
+                coords = {w: {rep(w0 * v): weyl_act_scalar(w0, f)
+                              for v, f in coords[rep(w0 * w)].items()} for w in space.points}
+        else:  # a Schubert basis
+            one = (CohScalar if theory == H else KScalar).one(space.rs.rank)
+            coords = {w: {w: one} for w in space.points}
+        zero = model._zero_fraction(space.rs.rank, theory)
+        space._cache[key] = {w: model.SchubertExpansion(space, theory, side, {
+            v: ScalarFraction.from_scalar(cw[v]) if v in cw else zero for v in space.points
+        }) for w, cw in coords.items()}
+    return space._cache[key]
+
+
+def _left_coordinates(space, theory):
+    """Schubert coordinates {w: {v: nonzero polynomial}} of the csm (H) or mc
+    (K) cells on the B side: the cell at w is T_i^L of the cell at s_i w for
+    the first letter i of w (the paper's generation theorem).  T_i^L =
+    (c_s s_i^L - c_0) / den, and s_i^L(f S_v) = s_i(f) (d S_v + den S_{s_i v})
+    when s_i v grows inside W^P, else s_i(f) S_v (``verify_schubert_actions``),
+    with (den, c_s, c_0, d) = (alpha_i, 1 + alpha_i, 1, 1) in H and (1 - t,
+    1 + y t, 1 + y, t), t = e^{-alpha_i}, in K.  So the coordinate at v gains
+    (c_s s_i(f) d - c_0 f) / den, one exact division, and s_i v gains c_s s_i(f)."""
+    rs, rank = space.rs, space.rs.rank
+    one = (CohScalar if theory == H else KScalar).one(rank)
+    e = space.points[0]
+    coords = {e: {e: one}}
+    for w in space.points[1:]:  # sorted by length, so s_i w comes first
+        i = w.word[0]
+        si, alpha = rs.simple(i), rs.simple_root(i)
+        if theory == H:
+            den = CohScalar.linear_form(alpha)
+            c_s, c_0, d = one + den, one, one
+        else:
+            y, d = KScalar.y(rank), KScalar.character(tuple(-c for c in alpha))
+            den, c_s, c_0 = one - d, one + y * d, one + y
+        out = {}
+        for v, f in coords[si * w].items():
+            sf = c_s * weyl_act_scalar(si, f)
+            u = si * v
+            grows = u.length > v.length and space.rep(u) is u
+            ok, q = divides_exactly(den, (sf * d if grows else sf) - c_0 * f)
+            if not ok:
+                raise ArithmeticError("left operator step left the polynomial coordinates")
+            out[v] = out[v] + q if v in out else q
+            if grows:
+                out[u] = out[u] + sf if u in out else sf
+        coords[w] = {v: c for v, c in out.items() if c}
+    return coords
 
 
 def _dual_basis_solve(space, mc_table):
@@ -289,6 +367,17 @@ def _sums_to_ambient(space, theory, cells):
     return total == ambient_class(space, theory)
 
 
+def _expansion_cases(space, tables):
+    """Witness cases of the generation theorem, lazily: for each (label
+    suffix, cell table), the left-operator Schubert coordinates rebuilt
+    through the localized Schubert basis give the table's class at every w."""
+    for suffix, cells in tables:
+        exps = family_expansions(space, cells.family, cells.side)
+        for w in space.points:
+            yield ("w=%s%s" % (word_str(w.word), suffix),
+                   model.rebuild_from_expansion(exps[w]), cells[w])
+
+
 def _gkm_cases(cells):
     for w in cells.space.points:
         status, _ = gkm_check(cells[w])
@@ -393,6 +482,8 @@ def _verify_csm(space, rep):
         "homogenized left DL recursion",
         _each_iw(space, lambda i, w: (dl_left_homogenized(i, ch[w]), ch[space.rep(rs.simple(i) * w)])),
     )
+    rep.check("left operators in Schubert coordinates rebuild the csm cells (both sides)",
+              _expansion_cases(space, [("", csm), (" opp", csm_op)]))
 
 
 def _verify_motivic(space, rep, corrupt=False):
@@ -515,3 +606,6 @@ def _verify_motivic(space, rep, corrupt=False):
                     rhs = rhs + smc_full[v].scale(_neg_y_power(rank, v.length - u.length))
                 yield ("u=%s" % word_str(u.word), lhs, rhs)
         rep.check("pullback of Segre motivic classes is coset-additive", pull_additive())
+
+    rep.check("left operators in Schubert coordinates rebuild the mc cells (both sides)",
+              _expansion_cases(space, [("", mc), (" opp", mc_op)]))

@@ -23,18 +23,6 @@ from . import model, operators, quantum
 from .model import H, K
 
 
-FAMILY_INFO = {
-    # family: (theory, own side); cell families also take the other side
-    "csm": (H, "B"),
-    "sm": (H, "B"),
-    "mc": (K, "B"),
-    "smc": (K, "Bminus"),
-    "schubert-b": (H, "B"),
-    "schubert-bminus": (H, "Bminus"),
-    "kschubert-b": (K, "B"),
-    "kschubert-bminus": (K, "Bminus"),
-}
-
 SUITES = ("operators", "csm", "motivic", "quantum", "all")
 
 
@@ -62,7 +50,7 @@ def _space(args):
 
 
 def _family_table(space, family, side):
-    info = FAMILY_INFO.get(family)
+    info = cls_mod.FAMILY_INFO.get(family)
     if info is None:
         raise UsageError("unknown family %r" % (family,))
     theory, own_side = info
@@ -92,7 +80,7 @@ def cmd_classes(args):
     space = _space(args)
     theory, side, table = _family_table(space, args.family, args.side)
     if args.format == "json":  # only JSON carries the Schubert expansions
-        expansions = {w: model.expand_schubert(table[w], side=side) for w in space.points}
+        expansions = cls_mod.family_expansions(space, args.family, side)
         doc = io_mod.class_table_document(space, theory, args.family, side, table, expansions)
         text = io_mod.dumps_json(doc)
     elif args.format == "csv":

@@ -7,6 +7,9 @@ class by the right divided differences on the full flag space and by the
 left ones on G/P, which walk W^P upward without leaving it; opposite
 classes come from the longest-element twist.
 
+``expand_schubert`` expands any class in a Schubert basis by a triangular
+peel; ``classes.family_expansions`` uses it only for the Segre cells.
+
 Integration and pairing use the Atiyah-Bott style weights 1/e(T_v) resp.
 1/lambda_{-1}(T_v^*).  Over one space all these weights share a common
 denominator (a product over the full set of positive roots), so localization
@@ -548,7 +551,8 @@ def expand_schubert(a, side="B"):
     Triangularity drives the elimination: B-side classes restrict to zero
     above their index, opposite classes to zero below, so peeling fixed
     points in the appropriate length order isolates one coefficient at a
-    time.  Exact; coefficients are scalar fractions.
+    time.  Exact; coefficients are scalar fractions.  O(n^2) fraction
+    operations per class on n fixed points.
     """
     space, theory = a.space, a.theory
     basis = space.schubert_basis(theory, side)

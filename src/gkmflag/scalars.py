@@ -36,7 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 from operator import add, itemgetter, neg, sub
-from typing import NamedTuple
 
 
 def _coeff(c):
@@ -772,18 +771,19 @@ def _normalize_unit(num, den):
 # text: one term writer, two syntaxes (plain for repr and CSV, and LaTeX)
 # ---------------------------------------------------------------------------
 
-class TextSyntax(NamedTuple):
+class TextSyntax:
     """The format strings of one text syntax for scalars and fractions."""
 
-    root: str       # the simple root alpha_j, from j
-    hbar: str
-    power: str      # a variable's name to an exponent other than 1
-    times: str      # between the factors of a monomial
-    scaled: str     # a magnitude other than 1, then a monomial
-    rational: str   # a magnitude that is not an integer, from its two parts
-    multiple: str   # a multiple other than -1 and 1 of a root, in e^{...}
-    character: str  # e^{lambda}, from the text of lambda
-    fraction: str   # numerator, then denominator
+    def __init__(self, root, hbar, power, times, scaled, rational, multiple, character, fraction):
+        self.root = root            # the simple root alpha_j, from j
+        self.hbar = hbar
+        self.power = power          # a variable's name to an exponent other than 1
+        self.times = times          # between the factors of a monomial
+        self.scaled = scaled        # a magnitude other than 1, then a monomial
+        self.rational = rational    # a magnitude that is not an integer, from its two parts
+        self.multiple = multiple    # a multiple other than -1 and 1 of a root, in e^{...}
+        self.character = character  # e^{lambda}, from the text of lambda
+        self.fraction = fraction    # numerator, then denominator
 
 
 PLAIN = TextSyntax("a%d", "h", "%s^%d", "*", "%s*%s", "%d/%d", "%+d*%s", "E[%s]", "(%s)/(%s)")

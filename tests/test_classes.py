@@ -1,9 +1,12 @@
 import pytest
 
 from gkmflag.classes import (
+    FAMILIES,
+    FAMILY_INFO,
     _dual_basis_solve,
     cell_family,
     csm_cell,
+    family_expansions,
     homogenize_csm,
     mc_cell,
     sm_cell,
@@ -228,3 +231,38 @@ def test_smc_matches_dual_basis_solve(label, par):
     space = flag_space(label, par)
     mc_b = cell_family(space, "mc", "B").table
     assert cell_family(space, "smc", "Bminus").table == _dual_basis_solve(space, mc_b)
+
+
+# the left operators' Schubert coordinates against the triangular peel of the
+# localized tables: on G/B the tables are built with right operators, so this
+# checks the paper's generation theorem by the left ones
+@pytest.mark.parametrize("label,parabolic", [
+    ("A2", ()), ("B2", ()), ("G2", ()), ("A3", ()),
+    ("A3", (1, 3)), ("A3", (2,)), ("A3", (1, 2)), ("C3", (2, 3)),
+])
+def test_left_operator_coordinates_equal_the_peel(label, parabolic):
+    space = flag_space(label, parabolic)
+    for family in ("csm", "mc"):
+        for side in ("B", "Bminus"):
+            table = cell_family(space, family, side).table
+            exps = family_expansions(space, family, side)
+            for w in space.points:
+                assert exps[w].side == side
+                assert exps[w].nonzero() == expand_schubert(table[w], side=side).nonzero()
+
+
+def test_schubert_family_expansions_are_unit_vectors():
+    space = flag_space("A3", (1, 3))
+    for family, (theory, side) in FAMILY_INFO.items():
+        if family in FAMILIES:
+            continue
+        basis = space.schubert_basis(theory, side)
+        exps = family_expansions(space, family, side)
+        for w in space.points:
+            assert exps[w].nonzero() == expand_schubert(basis[w], side=side).nonzero()
+        with pytest.raises(ValueError):
+            family_expansions(space, family, "B" if side == "Bminus" else "Bminus")
+    with pytest.raises(ValueError):
+        family_expansions(space, "csm", "up")
+    with pytest.raises(ValueError):
+        family_expansions(space, "chern", "B")

@@ -357,3 +357,14 @@ def test_no_start_up_import_of_dataclasses_or_inspect(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n[0, 0, 0] []\n"
+
+
+def test_no_start_up_import_of_typing():
+    # typing took about 5 ms of the start of a CLI process under -S, where
+    # no site hook has imported it already
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-S", "-c", "import sys, gkmflag.cli\n"
+                          "print('typing' in sys.modules)"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

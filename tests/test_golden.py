@@ -6,8 +6,10 @@ Segre motivic tables moved to the operator recursion, two more before word
 operators, braid words and the Leibniz rule were each stated once, two
 before the polynomial kernels were rewritten, the csm suite's three before
 the cell and Schubert action rules were each stated once, five before
-documents shared their term objects, and the two LaTeX matrices before CSV
-and LaTeX exports stopped going through the JSON document, so any change
+documents shared their term objects, the two LaTeX matrices before CSV
+and LaTeX exports stopped going through the JSON document, and the csm and
+motivic suites' six before each gained the identity that rebuilds its
+Chern cells from their left-operator Schubert coordinates, so any change
 of a table, an expansion, a report or a witness label in these outputs fails
 here.  When an output changes on purpose, re-record its hash with
 ``gkmflag <command> | sha256sum`` and say why in the change log.
@@ -17,7 +19,8 @@ import hashlib
 
 import pytest
 
-from gkmflag import model
+from gkmflag import cli, model
+from gkmflag.classes import FAMILY_INFO
 from gkmflag.cli import main
 
 GOLDEN = [
@@ -42,11 +45,11 @@ GOLDEN = [
     ("pair --type A --rank 2 --family mc,smc --format csv",
      "5d13eafdaf9b0e3369681a2281bc9f8394079e04bb1973146ca23d58390733ee"),
     ("verify --suite motivic --type A --rank 2",
-     "74e61b259fb24a23fff051dcace8991d9883c213eee9334f846603bc93abdf6b"),
+     "8b34d57012426e43d6d1847eded7bb0cdf86ea67c4f2f150f9910c541600ca44"),
     ("verify --suite motivic --type A --rank 2 --parabolic 1",
-     "10704d13e4f07d8678ce0996ff4a4c576e5403e37ef78733ecce50fcced23e6f"),
+     "b9a21d01d3a3311c81c89b177c4a9a2ad3cf8816be8ee00d1d354eed9c4df199"),
     ("verify --suite motivic --type B --rank 2 --parabolic 2",
-     "feb6ee5f0e28eefde14ef0747d098c9cc8160f143635d82f635fe3da077ea077"),
+     "081833eadef09c871e97236d0715aa0851fa437a75e89afc35f7344fae815c99"),
     ("verify --suite operators --type A --rank 2",
      "e842459125fb14305843e486352f2d8a111cfb89af7930aaf81c6ef7120b2c96"),
     ("quantum",
@@ -65,11 +68,11 @@ GOLDEN = [
      "95e6c8509bfcd0b23c5d59d989fe6735740c80f4286098a506ea3b58ca35a3ed"),
     # the csm suite: right and left DL on cells, folding on G/P, braid order 4
     ("verify --suite csm --type A --rank 2",
-     "6512e70e0fce0c8d0ef4c98caf82dfd54837a03230a9010c9d963645a8994e52"),
+     "6f0c19474cc016dcf044e4bbe39338226ac72d13c1d8643c885d98d1cde193e1"),
     ("verify --suite csm --type A --rank 3 --parabolic 1,3",
-     "332a4b61f95b0bda13fea4d93c08d2f61e13fb1830fa651e8053aae80a2ab949"),
+     "391b849b6b458b999a7c6e016a69b34ef56e1c0ded13b1dfe8dc244aeed07dcb"),
     ("verify --suite csm --type B --rank 2",
-     "17d886d243077f5c92569f7a10d06ea10fe71c65bd253dec370afbbe4d7f5692"),
+     "ec90f59fbc501be20ad0e2d58b3f29aaacc7bb8edb76f46079591a83a0068a16"),
     # JSON exports whose documents repeat many terms: written with shared
     # term objects and reused text
     ("classes --type A --rank 3 --family csm",
@@ -109,6 +112,34 @@ def test_text_exports_compute_no_expansion(monkeypatch, capsys, command, digest)
 
     monkeypatch.setattr(model, "expand_schubert", refuse)
     assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _family(command):
+    words = command.split()
+    return words[words.index("--family") + 1]
+
+
+CHERN_AND_SCHUBERT_JSON = [
+    (c, d) for c, d in GOLDEN
+    if c.startswith("classes") and "--format" not in c
+    and _family(c) in FAMILY_INFO and _family(c) not in ("sm", "smc")
+]
+
+
+@pytest.mark.parametrize("command,digest", CHERN_AND_SCHUBERT_JSON,
+                         ids=[c for c, _ in CHERN_AND_SCHUBERT_JSON])
+def test_chern_and_schubert_json_exports_peel_nothing(monkeypatch, capsys, command, digest):
+    # their expansions come from the left operators in Schubert coordinates
+    # and from unit vectors; a fresh cache makes the export build them
+    def refuse(*args, **kwargs):
+        raise RuntimeError("expand_schubert called")
+
+    argv = command.split()
+    monkeypatch.setattr(cli._space(cli.build_parser().parse_args(argv)), "_cache", {})
+    monkeypatch.setattr(model, "expand_schubert", refuse)
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -20,9 +20,9 @@ FAMILIES = ("csm", "sm", "mc", "smc", "schubert-b", "schubert-bminus",
             "kschubert-b", "kschubert-bminus")
 
 
-def _classes(space, family, fmt="json"):
+def _classes(space, family, fmt="json", side=None):
     label, _, par = space.partition("/")
-    return {"command": "classes", "type": label, "family": family, "format": fmt, "side": None,
+    return {"command": "classes", "type": label, "family": family, "format": fmt, "side": side,
             "parabolic": tuple(int(p) for p in par.split(",")) if par else ()}
 
 
@@ -56,6 +56,10 @@ def _jobs():
     for fmt in ("csv", "latex"):
         yield _pair("A2", "mc,smc", fmt)
         yield _pair("B2", "csm,sm", fmt)
+    # Chern cell expansions by the left operators in Schubert coordinates
+    yield _classes("B3", "csm")
+    yield _classes("G2", "mc")
+    yield _classes("A3", "mc", side="Bminus")
 
 
 JOBS = list(_jobs())
@@ -66,6 +70,8 @@ def _argv(job):
             "--format", job["format"]]
     if job["parabolic"]:
         argv += ["--parabolic", ",".join(map(str, job["parabolic"]))]
+    if job.get("side"):
+        argv += ["--side", job["side"]]
     return argv + ["--family", job.get("family") or ",".join(job["families"])]
 
 

@@ -6,8 +6,10 @@ their first-failure witnesses must equal the recorded one, so a reordered
 case or a changed label inside a failing identity fails here.  Every table
 is built before the operator is broken, so only the checks see the broken
 operator.  The lists were recorded before the cell and Schubert action rules
-were each stated once.  The last pins double one csm cell of A1 instead of
-breaking an operator.
+were each stated once.  The corrupted-table lists gained one entry each
+when the suites began rebuilding the Chern cells from their left-operator
+Schubert coordinates, since that identity reads the same corrupted table.
+The last pins double one csm cell of A1 instead of breaking an operator.
 """
 
 import pytest
@@ -139,6 +141,7 @@ RECORDED = {
         ("left DL on motivic cells, with (-y) fold factor", "i=1 w=2-1"),
         ("mc normalization: cells sum to lambda_y(T*X)", "sum mismatch"),
         ("mc support triangularity and y-degree bounds", "w=1-2-1 v=e"),
+        ("left operators in Schubert coordinates rebuild the mc cells (both sides)", "w=1-2-1"),
     ],
     ("A2", "classes dl_left@1 dual"): [
         ("left DL recursions on csm and sm cells (all four)", "i=1 w=e sm-opp"),
@@ -200,6 +203,7 @@ RECORDED = {
         ("mc normalization: cells sum to lambda_y(T*X)", "sum mismatch"),
         ("mc support triangularity and y-degree bounds", "w=1-2 v=e"),
         ("pushforward of motivic cells picks up (-y) powers", "u=1-2"),
+        ("left operators in Schubert coordinates rebuild the mc cells (both sides)", "w=1-2"),
     ],
     ("A2/{1}", "classes dl_left@1 dual"): [
         ("left DL recursions on csm and sm cells (all four)", "i=1 w=e sm-opp"),
@@ -235,11 +239,13 @@ CSM_DOUBLED = {
         ("csm normalization: cells sum to c(TX)", "sum mismatch"),
         ("left Weyl action on homogenized csm cells", "i=1 w=e"),
         ("homogenized left DL recursion", "i=1 w=e"),
+        ("left operators in Schubert coordinates rebuild the csm cells (both sides)", "w=1"),
     ],
     "Bminus": [
         ("left DL recursions on csm and sm cells (all four)", "i=1 w=e csm-opp"),
         ("csm/sm duality matrix is the identity", "(1,1)"),
         ("csm normalization on opposite cells", "sum mismatch"),
+        ("left operators in Schubert coordinates rebuild the csm cells (both sides)", "w=1 opp"),
     ],
 }
 
