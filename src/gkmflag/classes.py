@@ -52,6 +52,7 @@ from .operators import (
     dl_left_homogenized,
     dl_right,
     dl_right_inverse,
+    left_in_coordinates,
     weyl_left,
 )
 from .roots import bruhat_leq, word_str
@@ -166,49 +167,37 @@ def family_expansions(space, family, side="B"):
                 coords = {w: {rep(w0 * v): weyl_act_scalar(w0, f)
                               for v, f in coords[rep(w0 * w)].items()} for w in space.points}
         else:  # a Schubert basis
-            one = (CohScalar if theory == H else KScalar).one(space.rs.rank)
+            one = model._one_fraction(space.rs.rank, theory)
             coords = {w: {w: one} for w in space.points}
         zero = model._zero_fraction(space.rs.rank, theory)
         space._cache[key] = {w: model.SchubertExpansion(space, theory, side, {
-            v: ScalarFraction.from_scalar(cw[v]) if v in cw else zero for v in space.points
+            v: cw.get(v, zero) for v in space.points
         }) for w, cw in coords.items()}
     return space._cache[key]
 
 
 def _left_coordinates(space, theory):
-    """Schubert coordinates {w: {v: nonzero polynomial}} of the csm (H) or mc
-    (K) cells on the B side: the cell at w is T_i^L of the cell at s_i w for
-    the first letter i of w (the paper's generation theorem).  T_i^L =
-    (c_s s_i^L - c_0) / den, and s_i^L(f S_v) = s_i(f) (d S_v + den S_{s_i v})
-    when s_i v grows inside W^P, else s_i(f) S_v (``verify_schubert_actions``),
-    with (den, c_s, c_0, d) = (alpha_i, 1 + alpha_i, 1, 1) in H and (1 - t,
-    1 + y t, 1 + y, t), t = e^{-alpha_i}, in K.  So the coordinate at v gains
-    (c_s s_i(f) d - c_0 f) / den, one exact division, and s_i v gains c_s s_i(f)."""
+    """Schubert coordinates {w: {v: nonzero polynomial fraction}} of the csm
+    (H) or mc (K) cells on the B side: the cell at w is T_i^L of the cell at
+    s_i w for the first letter i of w (the paper's generation theorem), one
+    ``left_in_coordinates`` step with (p, q, den) = (1 + alpha_i, 1, alpha_i)
+    in H and (1 + y e^{-alpha_i}, 1 + y, 1 - e^{-alpha_i}) in K."""
     rs, rank = space.rs, space.rs.rank
     one = (CohScalar if theory == H else KScalar).one(rank)
     e = space.points[0]
-    coords = {e: {e: one}}
+    coords = {e: {e: ScalarFraction.from_scalar(one)}}
     for w in space.points[1:]:  # sorted by length, so s_i w comes first
         i = w.word[0]
-        si, alpha = rs.simple(i), rs.simple_root(i)
+        alpha = rs.simple_root(i)
         if theory == H:
             den = CohScalar.linear_form(alpha)
-            c_s, c_0, d = one + den, one, one
+            p, q = one + den, one
         else:
-            y, d = KScalar.y(rank), KScalar.character(tuple(-c for c in alpha))
-            den, c_s, c_0 = one - d, one + y * d, one + y
-        out = {}
-        for v, f in coords[si * w].items():
-            sf = c_s * weyl_act_scalar(si, f)
-            u = si * v
-            grows = u.length > v.length and space.rep(u) is u
-            ok, q = divides_exactly(den, (sf * d if grows else sf) - c_0 * f)
-            if not ok:
-                raise ArithmeticError("left operator step left the polynomial coordinates")
-            out[v] = out[v] + q if v in out else q
-            if grows:
-                out[u] = out[u] + sf if u in out else sf
-        coords[w] = {v: c for v, c in out.items() if c}
+            t, y = KScalar.character(tuple(-c for c in alpha)), KScalar.y(rank)
+            p, q, den = one + y * t, one + y, one - t
+        coords[w] = left_in_coordinates(space, theory, "B", i, coords[rs.simple(i) * w], p, q, den)
+        if not all(c.is_polynomial() for c in coords[w].values()):
+            raise ArithmeticError("left operator step left the polynomial coordinates")
     return coords
 
 

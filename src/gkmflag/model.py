@@ -116,54 +116,32 @@ class FlagSpace:
 
     # -- shared localization weights ---------------------------------------
 
-    def weights(self, theory):
-        """(numerators, common denominator) with 1/N_v = numer_v / den."""
-        key = ("weights", theory)
+    def weights(self, theory, extra_ambient_weight=False):
+        """(numerators, common denominator) with 1/N_v = numer_v / den: N_v is
+        the localization weight denominator at v, times the ambient restriction
+        at v with ``extra_ambient_weight`` (the characteristic-class dualities)."""
+        key = ("weights", theory, extra_ambient_weight)
         if key not in self._cache:
             rank = self.rs.rank
-            if theory == H:
-                den = CohScalar.one(rank)
-                for b in self.rs.positive_roots:
-                    den = den * CohScalar.linear_form(b)
-            else:
-                den = KScalar.one(rank)
-                one = KScalar.one(rank)
-                for b in self.rs.positive_roots:
-                    den = den * (one - KScalar.character(b))
+            one, y = (CohScalar if theory == H else KScalar).one(rank), KScalar.y(rank)
+            den = one
+            for b in self.rs.positive_roots:
+                if theory == H:
+                    lf = CohScalar.linear_form(b)
+                    factors = (lf, one - lf, one + lf)
+                else:
+                    e = KScalar.character(b)
+                    factors = (one - e, one + y * e, e + y)
+                for f in factors[:3 if extra_ambient_weight else 1]:
+                    den = den * f
             numers = {}
             for v in self.points:
-                ok, q = divides_exactly(self.normalizer(theory, v), den)
+                norm = self.normalizer(theory, v)
+                if extra_ambient_weight:
+                    norm = norm * self.ambient_restriction(theory, v)
+                ok, q = divides_exactly(norm, den)
                 if not ok:
                     raise ArithmeticError("localization weight is not a subproduct")
-                numers[v] = q
-            self._cache[key] = (numers, den)
-        return self._cache[key]
-
-    def weighted_weights(self, theory):
-        """Weights 1/(ambient_v * N_v) over a shared denominator, used by the
-        characteristic-class duality pairings."""
-        key = ("char_weights", theory)
-        if key not in self._cache:
-            rank = self.rs.rank
-            if theory == H:
-                den = CohScalar.one(rank)
-                one = CohScalar.one(rank)
-                for b in self.rs.positive_roots:
-                    lf = CohScalar.linear_form(b)
-                    den = den * lf * (one - lf) * (one + lf)
-            else:
-                den = KScalar.one(rank)
-                one = KScalar.one(rank)
-                y = KScalar.y(rank)
-                for b in self.rs.positive_roots:
-                    e = KScalar.character(b)
-                    den = den * (one - e) * (one + y * e) * (e + y)
-            numers = {}
-            for v in self.points:
-                base = self.normalizer(theory, v) * self.ambient_restriction(theory, v)
-                ok, q = divides_exactly(base, den)
-                if not ok:
-                    raise ArithmeticError("characteristic weight is not a subproduct")
                 numers[v] = q
             self._cache[key] = (numers, den)
         return self._cache[key]
@@ -428,9 +406,7 @@ def integrate(a, extra_ambient_weight=False):
     1/ambient_v, which is how the Segre-type dualities pair.
     """
     space, theory = a.space, a.theory
-    numers, den = (
-        space.weighted_weights(theory) if extra_ambient_weight else space.weights(theory)
-    )
+    numers, den = space.weights(theory, extra_ambient_weight)
     if a.is_polynomial():
         rank = space.rs.rank
         acc = CohScalar.zero(rank) if theory == H else KScalar.zero(rank)
@@ -579,9 +555,12 @@ def expand_schubert(a, side="B"):
 
 
 def rebuild_from_expansion(exp):
-    basis = exp.space.schubert_basis(exp.theory, exp.side)
+    """The localized class sum_w c_w S_w, summed point by point."""
     out = LocalizedClass.zero(exp.space, exp.theory)
+    basis = exp.space.schubert_basis(exp.theory, exp.side)
     for w, c in exp.coeffs.items():
         if not c.is_zero():
-            out = out + basis[w].scale(c)
+            for u, f in basis[w].values.items():
+                if not f.is_zero():
+                    out.values[u] = out.values[u] + c * f
     return out

@@ -31,6 +31,18 @@ is a ``step`` function passed to the kernel of its shape:
   _right(i, a, name, step):  (op a)|_v = step(v(alpha_i), a|_v, a|_{v s_i})
                              on G/B, with coefficients depending on v.
 
+A left operator (p s_i^L - q)/den, with global scalars p, q and den, also
+acts on Schubert coordinates (``left_in_coordinates``), by one rule:
+
+  s_i^L(f S_v) = s_i(f) (d S_v + (1 - d) S_{s_i v}) when s_i v is a point of
+  W^P toward the side's growth, else s_i(f) S_v, where lambda = -alpha_i on
+  B and +alpha_i on Bminus, d = e^lambda in K, and d = 1 in H with 1 - d
+  read as -lambda.
+
+(p, q, den) is (1, 0, 1) for s_i^L, (-1, -1, alpha_i) for d_i in H,
+(-e^{-a_i}, -1, 1 - e^{-a_i}) for the dual d_i^v in K, and for T_i^L
+(1 + alpha_i, 1, alpha_i) in H, (1 + y e^{-a_i}, 1 + y, 1 - e^{-a_i}) in K.
+
 An operator checks its theory and space, fixes its constants and hands its
 step to a kernel; the kernel loops over the fixed points.  Applying any of
 these to a class with polynomial restrictions must produce polynomial
@@ -72,6 +84,7 @@ from .roots import word_str
 from .scalars import (
     CohScalar,
     KScalar,
+    divides_exactly,
     weyl_act_scalar,
 )
 
@@ -153,6 +166,36 @@ def _right(i, a, name, step):
     for v in space.points:
         vals[v] = step(v.act(alpha), a.values[v], a.values[v * si])
     return _poly_guard(poly, LocalizedClass(space, a.theory, vals), name)
+
+
+def left_in_coordinates(space, theory, side, i, coords, p, q, den):
+    """(p s_i^L - q) / den on a Schubert expansion {v: fraction} in the basis
+    of ``side``, by the coordinate rule of the module docstring; returns the
+    nonzero coordinates.  The coordinate at v gains (p d s_i(f) - q f) / den,
+    one division per source coordinate, and s_i v gains p (1 - d) / den *
+    s_i(f), whose factor must be a polynomial."""
+    si = space.rs.simple(i)
+    lam = tuple(-c if side == "B" else c for c in space.rs.simple_root(i))
+    one = type(p).one(space.rs.rank)
+    d = one if theory == H else KScalar.character(lam)
+    fall = CohScalar.linear_form(tuple(-c for c in lam)) if theory == H else one - d
+    ok, moved = divides_exactly(den, p * fall)
+    if not ok:
+        raise ArithmeticError("left operator step left the polynomial coordinates")
+    same, up = moved == p, side == "B"  # same for T_i^L: reuse p s_i(f)
+    out = {}
+    for v, f in coords.items():
+        sf = weyl_act_scalar(si, f)
+        u = si * v
+        toward = (u.length > v.length) == up and space.rep(u) is u
+        x = sf.mul_scalar(p)
+        y = x.mul_scalar(d) if toward else x
+        y = (y - f.mul_scalar(q) if q else y).div_scalar(den)
+        out[v] = out[v] + y if v in out else y
+        if toward:
+            y = x if same else sf.mul_scalar(moved)
+            out[u] = out[u] + y if u in out else y
+    return {v: c for v, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

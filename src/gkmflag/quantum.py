@@ -6,14 +6,17 @@ commutativity, the unit law, the classical (q = 0) limit computed in the
 localization model, and (for quantum cohomology) the grading by the degrees
 of the quantum parameters.  Gromov-Witten invariants are never computed here.
 
-Left divided-difference operators extend to q-graded classes degree by
-degree; the quantum Leibniz rules then hold by construction of the left Weyl
-action and are verified over every table entry for which the needed products
-are available (fixture tables are deliberately partial).
+The left Weyl action and the left divided-difference operators act
+q-linearly on the opposite Schubert coordinates of each q-degree, by the
+classical Schubert action rules (``operators.left_in_coordinates``); no
+class is localized.  The quantum Leibniz rules then hold by construction of
+the left Weyl action and are verified over every table entry for which the
+needed products are available (fixture tables are deliberately partial).
 
 The formal engine evaluates the same Leibniz rules on free symbolic products
 of generators, given the operator facts for single generators; those facts
-are produced by the classical localization modules, not entered by hand.
+are the quantum operators applied to the generators' basis elements, not
+entered by hand.
 """
 
 from __future__ import annotations
@@ -33,19 +36,15 @@ from .model import (
     first_chern_class,
     flag_space,
     pair,
-    rebuild_from_expansion,
     schubert_class,
-    SchubertExpansion,
 )
 from .operators import (
     VerificationReport,
     _space_label,
     apply_word,
-    bgg_left,
     braid_words,
-    demazure_left,
     leibniz_rhs,
-    weyl_left,
+    left_in_coordinates,
 )
 from .roots import word_str
 from .scalars import (
@@ -316,36 +315,38 @@ def q_multiply(table, a, b):
     return out.normalized()
 
 
-def _per_degree(op, a):
-    cls_theory = _classical_theory(a.theory)
-    side = "Bminus"
-    out = {}
-    for qd, exp in a.terms.items():
-        cls = rebuild_from_expansion(
-            SchubertExpansion(a.space, cls_theory, side, exp)
-        )
-        img = op(cls)
-        out[qd] = expand_schubert(img, side=side).coeffs
-    return QuantumClass(a.space, a.theory, out).normalized()
+def _left_q(i, a, p, q, den):
+    """(p s_i^L - q) / den on the Schubert coordinates of every q-degree."""
+    return QuantumClass(a.space, a.theory, {
+        qd: left_in_coordinates(a.space, _classical_theory(a.theory), "Bminus", i, exp, p, q, den)
+        for qd, exp in a.terms.items()}).normalized()
 
 
 def weyl_left_q(w, a):
-    """The q-linear extension of the left Weyl action."""
-    return _per_degree(lambda cls: weyl_left(w, cls), a)
+    """The q-linear extension of the left Weyl action: s_i^L letter by
+    letter along w, with (p, q, den) = (1, 0, 1)."""
+    base = CohScalar if a.theory == QH else KScalar
+    one, zero = base.one(a.space.rs.rank), base.zero(a.space.rs.rank)
+    for i in reversed(w.word):
+        a = _left_q(i, a, one, zero, one)
+    return a
 
 
 def quantum_delta(i, a):
-    """Quantum left divided difference on QH classes."""
+    """Quantum left divided difference on QH classes: (1 - s_i^L) / alpha_i."""
     if a.theory != QH:
         raise ValueError("quantum_delta acts on QH classes")
-    return _per_degree(lambda cls: bgg_left(i, cls), a)
+    m = CohScalar.from_rational(-1, a.space.rs.rank)
+    return _left_q(i, a, m, m, CohScalar.linear_form(a.space.rs.simple_root(i)))
 
 
 def quantum_demazure_dual(i, a):
-    """Quantum dual left Demazure operator on QK classes."""
+    """Quantum dual left Demazure operator (1 - e^{-a_i} s_i^L)/(1 - e^{-a_i}) on QK."""
     if a.theory != QK:
         raise ValueError("quantum_demazure_dual acts on QK classes")
-    return _per_degree(lambda cls: demazure_left(i, cls, dual=True), a)
+    t = KScalar.character(tuple(-c for c in a.space.rs.simple_root(i)))
+    one = KScalar.one(a.space.rs.rank)
+    return _left_q(i, a, -t, -one, one - t)
 
 
 # ---------------------------------------------------------------------------
@@ -481,43 +482,31 @@ def formal_leibniz_eval(facts, x):
 
 
 def generator_facts(space, theory, i, generators):
-    """Operator facts for the named generators, computed in the localization
-    model: the left divided difference and the left simple reflection of each
-    generator class, expanded back into the named basis elements.
+    """Operator facts for the named generators: the quantum left divided
+    difference and the left simple reflection of each generator's basis
+    element, read in the named basis elements.
 
-    The expansion may only involve the unit and the generators themselves;
+    The image may only involve the unit and the generators themselves;
     anything else means the chosen generators do not suffice.
     """
-    cls_theory = _classical_theory(theory)
-    kind = cls_theory
+    kind = _classical_theory(theory)
     rank = space.rs.rank
-    basis = space.schubert_basis(cls_theory, "Bminus")
     names = {w: name for name, w in generators.items()}
+    op = quantum_delta if theory == QH else quantum_demazure_dual
 
-    def to_formal(cls):
-        exp = expand_schubert(cls, side="Bminus")
-        out = FormalQElem.zero(rank, kind)
-        for w, c in exp.nonzero().items():
-            if w.length == 0:
-                out = out + FormalQElem.unit(rank, kind).scale(c)
-            elif w in names:
-                out = out + FormalQElem.generator(rank, kind, names[w]).scale(c)
-            else:
-                raise ValueError(
-                    "operator image leaves the generator span at %s" % word_str(w.word)
-                )
-        return out
+    def to_formal(img):
+        terms = {}
+        for exp in img.terms.values():  # degree zero only: the operators are q-linear
+            for w, c in exp.items():
+                if w.length and w not in names:
+                    raise ValueError(
+                        "operator image leaves the generator span at %s" % word_str(w.word))
+                terms[(names[w],) if w.length else ()] = c
+        return FormalQElem(rank, kind, terms)
 
-    delta = {}
-    sweyl = {}
-    si = space.rs.simple(i)
-    for name, w in generators.items():
-        cls = basis[w]
-        if cls_theory == H:
-            delta[name] = to_formal(bgg_left(i, cls))
-        else:
-            delta[name] = to_formal(demazure_left(i, cls, dual=True))
-        sweyl[name] = to_formal(weyl_left(si, cls))
+    basis = {n: QuantumClass.basis_element(space, theory, w) for n, w in generators.items()}
+    delta = {n: to_formal(op(i, b)) for n, b in basis.items()}
+    sweyl = {n: to_formal(weyl_left_q(space.rs.simple(i), b)) for n, b in basis.items()}
     return GeneratorFacts(space.rs, i, kind, delta, sweyl)
 
 

@@ -1,13 +1,19 @@
+import random
+from functools import partial
+
 import pytest
 
 from gkmflag.model import (
     H,
     K,
     LocalizedClass,
+    SchubertExpansion,
     ambient_class,
+    expand_schubert,
     fixed_point_class,
     flag_space,
     line_bundle_class,
+    rebuild_from_expansion,
     schubert_class,
 )
 from gkmflag.operators import (
@@ -24,6 +30,7 @@ from gkmflag.operators import (
     dl_left_homogenized,
     dl_right,
     dl_right_inverse,
+    left_in_coordinates,
     verify_relations,
     verify_schubert_actions,
     weyl_left,
@@ -279,6 +286,54 @@ def test_left_ops_linear_over_invariants():
     for i in (1, 2):
         assert demazure_left(i, b.scale(sym)) == demazure_left(i, b).scale(sym)
         assert dl_left(i, b.scale(sym)) == dl_left(i, b).scale(sym)
+
+
+def _coordinate_operators(rank, theory, alpha):
+    """(name, localized operator, (p, q, den)) for each left operator that
+    ``left_in_coordinates`` serves, with (p s_i^L - q) / den its shape."""
+    base = CohScalar if theory == H else KScalar
+    one = base.one(rank)
+    ops = [("s_i^L", lambda i, a: weyl_left(a.space.rs.simple(i), a), (one, base.zero(rank), one))]
+    if theory == H:
+        a = CohScalar.linear_form(alpha)
+        return ops + [("delta_i", bgg_left, (-one, -one, a)), ("T_i^L", dl_left, (one + a, one, a))]
+    t = KScalar.character(tuple(-c for c in alpha))
+    return ops + [("delta_i^v", partial(demazure_left, dual=True), (-t, -one, one - t)),
+                  ("T_i^L", dl_left, (one + KScalar.y(rank) * t, one + KScalar.y(rank), one - t))]
+
+
+@pytest.mark.parametrize("label,par", [("A2", ()), ("B2", ()), ("G2", ()), ("A3", (1, 3)),
+                                       ("C3", (2, 3))])
+def test_left_in_coordinates_matches_the_peel(label, par):
+    # the coordinate kernel against localize, operate and peel, on unit
+    # vectors and one seeded combination with polynomial coefficients
+    space = flag_space(label, par)
+    rank = space.rs.rank
+    rng = random.Random(label + str(par))
+    for theory in (H, K):
+        base = CohScalar if theory == H else KScalar
+        one = fr(base.one(rank))
+
+        def poly():
+            vec = tuple(rng.randint(-2, 2) for _ in range(rank))
+            atom = CohScalar.linear_form(vec) if theory == H else KScalar.character(vec)
+            return fr(atom * rng.randint(-3, 3) + base.from_rational(rng.randint(-3, 3), rank))
+        inputs = [{w: one} for w in space.points]
+        inputs.append({w: poly() for w in space.points})
+        for side in ("B", "Bminus"):
+            for i in range(1, rank + 1):
+                for name, op, (p, q, den) in _coordinate_operators(rank, theory,
+                                                                   space.rs.simple_root(i)):
+                    for x in inputs:
+                        cls = rebuild_from_expansion(SchubertExpansion(space, theory, side, x))
+                        want = expand_schubert(op(i, cls), side=side).nonzero()
+                        got = left_in_coordinates(space, theory, side, i, x, p, q, den)
+                        assert got == want, (name, theory, side, i)
+    # a step that would carry S_v to S_{s_i v} with a non-polynomial factor
+    one = CohScalar.one(rank)
+    with pytest.raises(ArithmeticError):
+        left_in_coordinates(space, H, "B", 1, {space.points[0]: fr(one)}, one, one,
+                            CohScalar.linear_form(space.rs.simple_root(2)))
 
 
 def test_verify_relations_small_spaces():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -286,26 +287,70 @@ def test_generator_facts_leave_span():
 
 
 def test_quantum_operators_restrict_to_classical(gr24):
-    # the q-degree-zero part of every quantum operator is its classical
-    # counterpart, exhaustively over the basis
-    from gkmflag.model import expand_schubert
+    # every q-degree of a quantum operator's image is its classical
+    # counterpart applied to that degree (localize, operate, peel), over the
+    # basis at q-degrees 0 and 2, a combination with a proper-fraction
+    # coefficient, and the Weyl action of s_i, of w0 and of an element
+    # outside W^P
+    from gkmflag.model import SchubertExpansion, expand_schubert, rebuild_from_expansion
     from gkmflag.operators import bgg_left, demazure_left, weyl_left
 
-    for w in gr24.points:
-        for i in (1, 2, 3):
-            bh = QuantumClass.basis_element(gr24, QH, w, arity=1)
-            cls = gr24.schubert_basis(H, "Bminus")[w]
-            classical = expand_schubert(bgg_left(i, cls), side="Bminus").nonzero()
-            got = quantum_delta(i, bh).terms.get((0,), {})
-            assert got == classical
-            sw = expand_schubert(weyl_left(gr24.rs.simple(i), cls), side="Bminus").nonzero()
-            assert weyl_left_q(gr24.rs.simple(i), bh).terms.get((0,), {}) == sw
-            bk = QuantumClass.basis_element(gr24, QK, w, arity=1)
-            kcls = gr24.schubert_basis(K, "Bminus")[w]
-            kclassical = expand_schubert(
-                demazure_left(i, kcls, dual=True), side="Bminus"
-            ).nonzero()
-            assert quantum_demazure_dual(i, bk).terms.get((0,), {}) == kclassical
+    rs = gr24.rs
+    outside = rs.from_word((3, 2, 1))
+    assert outside not in gr24.points
+
+    def classical(op, a):
+        theory = H if a.theory == QH else K
+        out = {}
+        for qd, exp in a.terms.items():
+            cls = rebuild_from_expansion(SchubertExpansion(gr24, theory, "Bminus", exp))
+            img = expand_schubert(op(cls), side="Bminus").nonzero()
+            if img:
+                out[qd] = img
+        return QuantumClass(gr24, a.theory, out)
+
+    fracs = {
+        QH: ScalarFraction.make(CohScalar.linear_form((1, 0, 0)),
+                                CohScalar.one(3) + CohScalar.linear_form((0, 1, 0))),
+        QK: ScalarFraction.make(KScalar.character((1, 0, 0)),
+                                KScalar.from_rational(2, 3) - KScalar.character((0, 1, 0))),
+    }
+    for theory in (QH, QK):
+        inputs = []
+        for w in gr24.points:
+            inputs.append(QuantumClass.basis_element(gr24, theory, w, qdeg=(0,)))
+            inputs.append(QuantumClass.basis_element(gr24, theory, w, qdeg=(2,)).scale(
+                fracs[theory]) + QuantumClass.basis_element(gr24, theory, rs.identity, qdeg=(1,)))
+        for a in inputs:
+            for i in (1, 2, 3):
+                if theory == QH:
+                    assert quantum_delta(i, a) == classical(partial(bgg_left, i), a)
+                else:
+                    assert quantum_demazure_dual(i, a) == classical(
+                        partial(demazure_left, i, dual=True), a)
+            for w in [rs.simple(i) for i in (1, 2, 3)] + [rs.longest_element, outside]:
+                assert weyl_left_q(w, a) == classical(partial(weyl_left, w), a)
+
+
+def test_quantum_suite_peels_only_the_classical_limit(monkeypatch, capsys):
+    # the quantum operators act in Schubert coordinates: during the quantum
+    # suite only _validate_table's classical limit expands a localized
+    # class, and nothing rebuilds one
+    from gkmflag import cli, model, quantum
+
+    callers = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            callers.append((fn.__name__, sys._getframe(1).f_code.co_name))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("expand_schubert", "rebuild_from_expansion"):
+        monkeypatch.setattr(quantum, name, counted(getattr(model, name)), raising=False)
+    assert cli.main(["verify", "--suite", "quantum"]) == 0
+    capsys.readouterr()
+    assert callers and set(callers) == {("expand_schubert", "_validate_table")}
 
 
 def test_table_leibniz_and_relations(qh_table, qk_table):
