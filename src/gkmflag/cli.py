@@ -126,12 +126,14 @@ def _fixture_names(fixtures):
 
 
 def _quantum_reports(names):
-    reports = []
+    # a name resolves to the same file wherever it is loaded, so the examples
+    # reuse the tables loaded (and validated) under their fixture names
+    reports, tables = [], {}
     for name in names:
-        table = quantum.load_fixture_table(name)
+        table = tables[name] = quantum.load_fixture_table(name)
         reports.append(quantum.verify_table(table))
         reports.append(quantum.verify_quantum_relations(table))
-    reports.append(quantum.verify_quantum_examples())
+    reports.append(quantum.verify_quantum_examples(tables))
     return reports
 
 

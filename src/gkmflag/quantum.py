@@ -554,10 +554,12 @@ def verify_table(table):
     return rep
 
 
-def verify_quantum_examples():
+def verify_quantum_examples(tables=None):
     """The two worked derivations on the Grassmannian of planes in 4-space,
     reproduced end to end through the formal Leibniz engine and, where the
     fixture tables carry the products, through table-mode multiplication.
+    ``tables`` maps fixture names to tables already loaded under those names;
+    the fixtures it lacks are loaded here.
 
     Character letters follow the documented convention: the generator-fact
     classes printed with T_i letters correspond to T_i = e^{-alpha_i}.
@@ -619,7 +621,7 @@ def verify_quantum_examples():
 
     # table mode: the fixture products realize the same identities
     for theory, fname in ((QH, "gr24_qh_partial.json"), (QK, "gr24_qk_partial.json")):
-        table = load_fixture_table(fname)
+        table = (tables or {}).get(fname) or load_fixture_table(fname)
         arity = len(table.qnodes)
         b1 = QuantumClass.basis_element(space, theory, s2, arity=arity)
         b11 = QuantumClass.basis_element(space, theory, s12, arity=arity)

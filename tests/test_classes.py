@@ -1,9 +1,13 @@
 import pytest
 
+from gkmflag import classes
 from gkmflag.classes import (
     FAMILIES,
     FAMILY_INFO,
+    CellClassFamily,
     _dual_basis_solve,
+    _duality_cases,
+    _transposed_duality_holds,
     cell_family,
     csm_cell,
     family_expansions,
@@ -16,6 +20,7 @@ from gkmflag.classes import (
 from gkmflag.model import (
     H,
     K,
+    FlagSpace,
     LocalizedClass,
     ambient_class,
     expand_schubert,
@@ -120,6 +125,81 @@ def test_duality_matrices_identity():
                 assert (w is u) == (val == one_k)
                 if w is not u:
                     assert val.is_zero()
+
+
+DUALITY_SPACES = [
+    ("A1", ()), ("A2", ()), ("A2", (1,)), ("B2", ()), ("G2", ()),
+    ("A3", (1, 3)), ("A3", (1, 2)), ("C3", (2, 3)),
+]
+DUALITY = "csm/sm duality matrix is the identity"
+
+
+@pytest.mark.parametrize("label,par", DUALITY_SPACES,
+                         ids=["%s/%s" % (l, ",".join(map(str, p))) for l, p in DUALITY_SPACES])
+def test_transposed_duality_agrees_with_the_pairings(label, par):
+    # the fixed-point certificate of the csm suite against the literal
+    # integrals <csm(w), sm(u) on the opposite side> = delta_{w,u}
+    space = flag_space(label, par)
+    csm = cell_family(space, "csm", "B")
+    csm_op = cell_family(space, "csm", "Bminus")
+    assert _transposed_duality_holds(space, csm, csm_op)
+    assert all(lhs == rhs for _, lhs, rhs in
+               _duality_cases(space, H, csm, csm_op, extra_ambient_weight=True))
+
+
+def _scaled_restriction(cells, w):
+    # the restriction of cells[w] at its own fixed point, doubled
+    table = dict(cells.table)
+    table[w] = table[w].map_values(lambda v, f: f + f if v is w else f)
+    return table
+
+
+def _swapped_cells(cells, w, u):
+    table = dict(cells.table)
+    table[w], table[u] = table[u], table[w]
+    return table
+
+
+@pytest.mark.parametrize("label,par", [("A2", ()), ("B2", ()), ("A3", (1, 3))])
+@pytest.mark.parametrize("side,corrupt", [
+    ("B", lambda cells, pts: _scaled_restriction(cells, pts[1])),
+    ("Bminus", lambda cells, pts: _scaled_restriction(cells, pts[-1])),
+    ("B", lambda cells, pts: _swapped_cells(cells, pts[1], pts[2])),
+    ("Bminus", lambda cells, pts: _swapped_cells(cells, pts[0], pts[-1])),
+], ids=["scaled", "scaled-opp", "swapped", "swapped-opp"])
+def test_failing_duality_names_the_first_failing_pairing(monkeypatch, label, par, side, corrupt):
+    space = flag_space(label, par)
+    cells = cell_family(space, "csm", side)
+    bad = CellClassFamily("csm", side, space, corrupt(cells, space.points))
+    monkeypatch.setattr(space, "_cache", dict(space._cache))
+    space._cache[("cells", "csm", side)] = bad
+    csm = cell_family(space, "csm", "B")
+    csm_op = cell_family(space, "csm", "Bminus")
+    assert not _transposed_duality_holds(space, csm, csm_op)
+    first = next(case for case, lhs, rhs in
+                 _duality_cases(space, H, csm, csm_op, extra_ambient_weight=True) if lhs != rhs)
+    rep = verify_class_theorems(space, kinds=("csm",))
+    assert (DUALITY, first) in rep.failures()
+
+
+@pytest.mark.parametrize("label,par", [("A2", ()), ("A3", (1, 2))])
+def test_passing_csm_suite_integrates_nothing(monkeypatch, label, par):
+    # the duality is checked in its transposed fixed-point form: no pairing,
+    # and no common denominator of the Segre-weighted localization
+    def refuse_pair(*args, **kwargs):
+        raise RuntimeError("pair called")
+
+    weights = FlagSpace.weights
+
+    def refuse_segre_weights(self, theory, extra_ambient_weight=False):
+        if theory == H and extra_ambient_weight:
+            raise RuntimeError("Segre-weighted localization requested")
+        return weights(self, theory, extra_ambient_weight)
+
+    monkeypatch.setattr(classes, "pair", refuse_pair)
+    monkeypatch.setattr(FlagSpace, "weights", refuse_segre_weights)
+    rep = verify_class_theorems(flag_space(label, par), kinds=("csm",))
+    assert rep.ok, rep.failures()
 
 
 def test_mc_left_fold_factor_on_gr24():

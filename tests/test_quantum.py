@@ -335,7 +335,8 @@ def test_quantum_operators_restrict_to_classical(gr24):
 def test_quantum_suite_peels_only_the_classical_limit(monkeypatch, capsys):
     # the quantum operators act in Schubert coordinates: during the quantum
     # suite only _validate_table's classical limit expands a localized
-    # class, and nothing rebuilds one
+    # class, once per product of each packaged table (the examples reuse the
+    # tables the suite loaded), and nothing rebuilds one
     from gkmflag import cli, model, quantum
 
     callers = []
@@ -350,7 +351,31 @@ def test_quantum_suite_peels_only_the_classical_limit(monkeypatch, capsys):
         monkeypatch.setattr(quantum, name, counted(getattr(model, name)), raising=False)
     assert cli.main(["verify", "--suite", "quantum"]) == 0
     capsys.readouterr()
-    assert callers and set(callers) == {("expand_schubert", "_validate_table")}
+    assert callers == [("expand_schubert", "_validate_table")] * 4
+
+
+def test_quantum_suite_loads_each_fixture_once(monkeypatch, capsys, tmp_path):
+    # the examples reuse the tables loaded under their own fixture names and
+    # still load the packaged ones when --fixtures names other files
+    from gkmflag import cli, quantum
+
+    loaded = []
+    load = quantum.load_fixture_table
+
+    def counted(name):
+        loaded.append(name)
+        return load(name)
+
+    monkeypatch.setattr(quantum, "load_fixture_table", counted)
+    assert cli.main(["verify", "--suite", "quantum"]) == 0
+    assert loaded == ["gr24_qh_partial.json", "gr24_qk_partial.json"]
+    other = tmp_path / "qh.json"
+    with open(os.path.join(FIXDIR, "gr24_qh_partial.json")) as f:
+        other.write_text(f.read())
+    del loaded[:]
+    assert cli.main(["verify", "--suite", "quantum", "--fixtures", str(other)]) == 0
+    assert loaded == [str(other), "gr24_qh_partial.json", "gr24_qk_partial.json"]
+    capsys.readouterr()
 
 
 def test_table_leibniz_and_relations(qh_table, qk_table):
