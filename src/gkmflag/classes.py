@@ -25,7 +25,8 @@ checks it for every family, side and direction of step.
 
 Schubert expansions come from ``family_expansions``: of Chern cells by the
 left operators in Schubert coordinates, which the suites check by
-rebuilding the cells (``_expansion_cases``), and of Segre cells by a peel.
+rebuilding the cells (``_expansion_cases``); of Segre-MacPherson cells by
+the same walk from S_e / c(T)|_e; and of smc cells by a peel.
 
 The csm/sm duality <csm(w), sm(u) on the opposite side> = delta_{w,u} is
 checked in its transposed fixed-point form (``_transposed_duality_holds``).
@@ -67,8 +68,8 @@ from .operators import (
     weyl_left,
 )
 from .roots import bruhat_leq, word_str
-from .scalars import (CohScalar, KScalar, ScalarFraction, _normalize_unit, _p_iadd, _p_mul,
-                      divides_exactly, weyl_act_scalar)
+from .scalars import (CohScalar, KScalar, ScalarFraction, _p_iadd, _p_mul, divides_exactly,
+                      factor_over, weyl_act_scalar)
 
 FAMILIES = ("csm", "sm", "mc", "smc")
 
@@ -141,28 +142,29 @@ def _build(space, family, side):
 
 def _over_ambient(space, theory, table):
     """Every polynomial class of the table divided pointwise by the ambient
-    class.  Its restriction at v is a product of distinct irreducible
-    factors, so cancelling those that divide exactly leaves the reduced
-    fraction, with no gcd."""
+    class.  Its restriction at v is a product of distinct atoms, so
+    cancelling those that divide exactly leaves the reduced fraction, with
+    no gcd, over the atoms that remain."""
     factors = {v: space._ambient_factors(theory, v) for v in space.points}
-    amb = {v: space.ambient_restriction(theory, v) for v in space.points}
 
     def quotient(v, f):
-        num, den = f.num, amb[v]
+        num, rest = f.num, []
         for p in factors[v]:
             ok, q = divides_exactly(p, num)
             if ok:
-                num, den = q, divides_exactly(p, den)[1]
-        return ScalarFraction(*_normalize_unit(num, den))
+                num = q
+            else:
+                rest.append(p)
+        return ScalarFraction.over_atoms(num, rest)
     return {w: a.map_values(quotient) for w, a in table.items()}
 
 
 def family_expansions(space, family, side="B"):
     """{w: SchubertExpansion} of every class of a ``FAMILY_INFO`` table, in
-    the basis of its side.  Chern cells (``_left_coordinates``) and Schubert
-    classes (unit vectors) are cached; Segre cells are peeled by
+    the basis of its side.  csm, sm and mc cells (``_left_coordinates``) and
+    Schubert classes (unit vectors) are cached; smc cells are peeled by
     ``model.expand_schubert`` on every call, as any class is."""
-    if family in ("sm", "smc"):
+    if family == "smc":
         table = cell_family(space, family, side).table
         return {w: model.expand_schubert(table[w], side=side) for w in space.points}
     key = ("expansions", family, side)
@@ -171,8 +173,8 @@ def family_expansions(space, family, side="B"):
         if theory is None or side not in ("B", "Bminus") or (
                 family not in FAMILIES and side != own_side):
             raise ValueError("no expansions of family %r on side %r" % (family, side))
-        if family in FAMILIES:  # csm or mc
-            coords = _left_coordinates(space, theory)
+        if family in FAMILIES:  # csm, sm or mc
+            coords = _left_coordinates(space, family)
             if side == "Bminus":  # the w0 twist: w0^L(f S_v) = w0(f) S^{rep(w0 v)}
                 w0, rep = space.rs.longest_element, space.rep
                 coords = {w: {rep(w0 * v): weyl_act_scalar(w0, f)
@@ -187,16 +189,21 @@ def family_expansions(space, family, side="B"):
     return space._cache[key]
 
 
-def _left_coordinates(space, theory):
-    """Schubert coordinates {w: {v: nonzero polynomial fraction}} of the csm
-    (H) or mc (K) cells on the B side: the cell at w is T_i^L of the cell at
-    s_i w for the first letter i of w (the paper's generation theorem), one
+def _left_coordinates(space, family):
+    """Schubert coordinates {w: {v: nonzero fraction}} of the csm, sm (H) or
+    mc (K) cells on the B side: the cell at w is T_i^L of the cell at s_i w
+    for the first letter i of w (the paper's generation theorem), one
     ``left_in_coordinates`` step with (p, q, den) = (1 + alpha_i, 1, alpha_i)
-    in H and (1 + y e^{-alpha_i}, 1 + y, 1 - e^{-alpha_i}) in K."""
+    in H and (1 + y e^{-alpha_i}, 1 + y, 1 - e^{-alpha_i}) in K.  The walk
+    starts at the point class S_e; for sm at S_e / c(T)|_e, since T_i^L
+    commutes with dividing by the left-invariant c(T).  Chern cells have
+    polynomial coordinates."""
     rs, rank = space.rs, space.rs.rank
+    theory = FAMILY_INFO[family][0]
     one = (CohScalar if theory == H else KScalar).one(rank)
     e = space.points[0]
-    coords = {e: {e: ScalarFraction.from_scalar(one)}}
+    coords = {e: {e: ScalarFraction.over_atoms(one, space._ambient_factors(H, e))
+                  if family == "sm" else ScalarFraction.from_scalar(one)}}
     for w in space.points[1:]:  # sorted by length, so s_i w comes first
         i = w.word[0]
         alpha = rs.simple_root(i)
@@ -207,7 +214,7 @@ def _left_coordinates(space, theory):
             t, y = KScalar.character(tuple(-c for c in alpha)), KScalar.y(rank)
             p, q, den = one + y * t, one + y, one - t
         coords[w] = left_in_coordinates(space, theory, "B", i, coords[rs.simple(i) * w], p, q, den)
-        if not all(c.is_polynomial() for c in coords[w].values()):
+        if family != "sm" and not all(c.is_polynomial() for c in coords[w].values()):
             raise ArithmeticError("left operator step left the polynomial coordinates")
     return coords
 
@@ -221,7 +228,9 @@ def _dual_basis_solve(space, mc_table):
     pts = list(space.points)
     n = len(pts)
     numers, den = space.weights(K)
-    weights = {v: ScalarFraction.make(numers[v], den) for v in pts}
+    atoms = space.weight_atoms(K)
+    roots = space.weight_atoms(K, extra_ambient_weight=True)  # every atom of a root
+    weights = {v: ScalarFraction.make(numers[v], den, atoms) for v in pts}
     m = [
         [mc_table[w].values[v] * weights[v] for v in pts]
         for w in pts
@@ -234,7 +243,10 @@ def _dual_basis_solve(space, mc_table):
         piv = next(r for r in range(col, n) if not m[r][col].is_zero())
         m[col], m[piv] = m[piv], m[col]
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = one / m[col][col]
+        # M is triangular, so each pivot is a diagonal entry, mc(w)|_w times a
+        # weight, whose numerator is a product of atoms of roots
+        p = m[col][col]
+        inv = ScalarFraction.make(p.den, p.num, factor_over(p.num, roots))
         m[col] = [x * inv for x in m[col]]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
@@ -562,13 +574,10 @@ def _verify_motivic(space, rep, corrupt=False):
         # this is an independent identity
         def close_b():
             one, y = KScalar.one(rank), KScalar.y(rank)
-            den_b = one
-            for b in rs.positive_roots:
-                den_b = den_b * (one + y * KScalar.character(b))
+            factors = [one + y * KScalar.character(b) for b in rs.positive_roots]
             for w in pts:
                 cls = apply_word(lambda i, b: dl_right_inverse(i, b, dual=True), w.inverse(), point_b)
-                fac = ScalarFraction.from_scalar(_neg_y_power(rank, w.length))
-                fac = fac.div_scalar(den_b)
+                fac = ScalarFraction.over_atoms(_neg_y_power(rank, w.length), factors)
                 yield ("w=%s" % word_str(w.word), cls.scale(fac), smc_b[w])
         rep.check("Segre motivic inverse-word closed form, B side", close_b())
 

@@ -8,7 +8,7 @@ left ones on G/P, which walk W^P upward without leaving it; opposite
 classes come from the longest-element twist.
 
 ``expand_schubert`` expands any class in a Schubert basis by a triangular
-peel; ``classes.family_expansions`` uses it only for the Segre cells.
+peel; ``classes.family_expansions`` uses it only for the smc cells.
 
 Integration and pairing use the Atiyah-Bott style weights 1/e(T_v) resp.
 1/lambda_{-1}(T_v^*).  Over one space all these weights share a common
@@ -25,6 +25,7 @@ from .scalars import (
     CohScalar,
     KScalar,
     ScalarFraction,
+    atom_names,
     divides_exactly,
 )
 
@@ -122,18 +123,9 @@ class FlagSpace:
         at v with ``extra_ambient_weight`` (the characteristic-class dualities)."""
         key = ("weights", theory, extra_ambient_weight)
         if key not in self._cache:
-            rank = self.rs.rank
-            one, y = (CohScalar if theory == H else KScalar).one(rank), KScalar.y(rank)
-            den = one
-            for b in self.rs.positive_roots:
-                if theory == H:
-                    lf = CohScalar.linear_form(b)
-                    factors = (lf, one - lf, one + lf)
-                else:
-                    e = KScalar.character(b)
-                    factors = (one - e, one + y * e, e + y)
-                for f in factors[:3 if extra_ambient_weight else 1]:
-                    den = den * f
+            den = (CohScalar if theory == H else KScalar).one(self.rs.rank)
+            for f in self._weight_factors(theory, extra_ambient_weight):
+                den = den * f
             numers = {}
             for v in self.points:
                 norm = self.normalizer(theory, v)
@@ -145,6 +137,33 @@ class FlagSpace:
                 numers[v] = q
             self._cache[key] = (numers, den)
         return self._cache[key]
+
+    def weight_atoms(self, theory, extra_ambient_weight=False):
+        """The names of the atoms whose product is the common denominator
+        of ``weights`` up to a unit; with ``extra_ambient_weight``, every atom
+        of a root."""
+        key = ("weight atoms", theory, extra_ambient_weight)
+        if key not in self._cache:
+            self._cache[key] = atom_names(self._weight_factors(theory, extra_ambient_weight))
+        return self._cache[key]
+
+    def _weight_factors(self, theory, extra_ambient_weight):
+        """The factors of the common weight denominator: beta (H) resp.
+        1 - e^beta (K) for every positive root beta, and with
+        ``extra_ambient_weight`` also 1 - beta and 1 + beta resp.
+        1 + y e^beta and e^beta + y."""
+        rank = self.rs.rank
+        one, y = (CohScalar if theory == H else KScalar).one(rank), KScalar.y(rank)
+        out = []
+        for b in self.rs.positive_roots:
+            if theory == H:
+                lf = CohScalar.linear_form(b)
+                factors = (lf, one - lf, one + lf)
+            else:
+                e = KScalar.character(b)
+                factors = (one - e, one + y * e, e + y)
+            out.extend(factors[:3 if extra_ambient_weight else 1])
+        return out
 
     # -- Schubert bases ------------------------------------------------------
 
@@ -407,6 +426,7 @@ def integrate(a, extra_ambient_weight=False):
     """
     space, theory = a.space, a.theory
     numers, den = space.weights(theory, extra_ambient_weight)
+    atoms = space.weight_atoms(theory, extra_ambient_weight)
     if a.is_polynomial():
         rank = space.rs.rank
         acc = CohScalar.zero(rank) if theory == H else KScalar.zero(rank)
@@ -415,13 +435,13 @@ def integrate(a, extra_ambient_weight=False):
             if f.is_zero():
                 continue
             acc = acc + f.num * numers[v]
-        return ScalarFraction.make(acc, den)
+        return ScalarFraction.make(acc, den, atoms)
     total = _zero_fraction(space.rs.rank, theory)
     for v in space.points:
         f = a.values[v]
         if f.is_zero():
             continue
-        total = total + f * ScalarFraction.make(numers[v], den)
+        total = total + f * ScalarFraction.make(numers[v], den, atoms)
     return total
 
 
@@ -440,6 +460,7 @@ def pushforward_parabolic(a, target):
         raise ValueError("pushforward between different root systems")
     theory = a.theory
     numers, den = space.weights(theory)
+    atoms = space.weight_atoms(theory)
     vals = {}
     rank = space.rs.rank
     for w in target.points:
@@ -454,11 +475,11 @@ def pushforward_parabolic(a, target):
                 f = a.values[v]
                 if not f.is_zero():
                     acc = acc + f.num * numers[v]
-            vals[w] = ScalarFraction.make(acc * norm, den)
+            vals[w] = ScalarFraction.make(acc * norm, den, atoms)
         else:
             tot = _zero_fraction(rank, theory)
             for v in members:
-                tot = tot + a.values[v] * ScalarFraction.make(numers[v], den)
+                tot = tot + a.values[v] * ScalarFraction.make(numers[v], den, atoms)
             vals[w] = tot * ScalarFraction.from_scalar(norm)
     return LocalizedClass(target, theory, vals)
 

@@ -10,24 +10,41 @@ Two coefficient rings, both with exact rational coefficients:
   arbitrary integer exponents.  Canonical order is lattice-then-y lex.
 
 ``ScalarFraction`` is the common fraction type over either ring.  Fractions
-are always stored in canonical form: gcd-reduced, with the denominator a
-monic polynomial (for KScalar additionally shifted so every variable has
-minimum exponent zero in the denominator).  Two equal fractions are therefore
+are always stored in canonical form: reduced, with the denominator a monic
+polynomial (for KScalar additionally shifted so every variable has minimum
+exponent zero in the denominator).  Two equal fractions are therefore
 structurally identical.
 
-The gcd is a primitive polynomial-remainder-sequence computed directly on the
-exponent dictionaries; Laurent inputs are shifted to genuine polynomials
-first.  Exact division is leading-term elimination and fails fast, which
-makes "is this a multiple" checks cheap.  Most quotients in the geometry are
-exact, so ``ScalarFraction.make`` first divides the numerator by the
-denominator once and calls the gcd only when that fails; the gcd in turn
-tries division both ways before its remainder sequence.
+Beside the canonical form a fraction keeps the *atoms* of its denominator,
+the monic irreducible factors whose product it is.  Every denominator the
+package makes is such a product: of beta, 1 +- beta and hbar +- beta in H,
+and of 1 - e^beta, 1 + y e^beta and y + e^beta in K.  Telling an atom needs
+no root system: a polynomial of total degree 1 in H, and in K a binomial
+whose y-degrees differ by one, or agree while its lattice exponents differ
+by a primitive vector.  Atoms are named by their canonical text, so a
+fraction's atoms are a sorted tuple of names.  A sum brings both terms to
+the lcm of their atoms and trial-divides the numerator only by the atoms
+that both carry equally often (no other can divide it); a product first
+tries the one whole-denominator division, then the atoms of each
+denominator against the other numerator; the Weyl action maps atoms to
+atoms.  Since atoms are pairwise prime, this leaves the reduced form with
+no gcd.
+
+The gcd, for fractions whose atoms are unknown, is a primitive
+polynomial-remainder-sequence computed directly on the exponent
+dictionaries; Laurent inputs are shifted to genuine polynomials first.
+``REDUCTIONS`` counts reductions of either kind.  Exact division is
+leading-term elimination and fails fast, which makes "is this a multiple"
+checks cheap.  Most quotients in the geometry are exact, so
+``ScalarFraction.make`` first divides the numerator by the denominator once
+and reduces only when that fails; the gcd in turn tries division both ways
+before its remainder sequence.
 
 Exponent keys are added and subtracted with ``tuple(map(add, k1, k2))``, the
 cheapest form in CPython.  The kernels insert result terms in a fixed order,
-and it matters: the gcd's content loop stops at the first unit coefficient,
-so equal polynomials with their terms in another order cost different
-amounts in later arithmetic.
+and on the gcd path it matters: the gcd's content loop stops at the first
+unit coefficient, so equal polynomials with their terms in another order
+cost different amounts there.
 """
 
 from __future__ import annotations
@@ -622,9 +639,200 @@ def weyl_act_scalar(w, s):
         # a ring automorphism keeps a reduced fraction reduced: no gcd
         num = weyl_act_scalar(w, s.num)
         if s.den.is_one():
-            return ScalarFraction(num, s.den)
-        return ScalarFraction(*_normalize_unit(num, weyl_act_scalar(w, s.den)))
+            return ScalarFraction(num, s.den, ())
+        if s.atoms is None:
+            return ScalarFraction(*_normalize_unit(num, weyl_act_scalar(w, s.den)))
+        # w maps each atom to a unit times an atom
+        images = []
+        for name in s.atoms:
+            img = _IMAGES.get((w, name))
+            if img is None:
+                img = _IMAGES[w, name] = _atom(_ATOMS[name].weight_pairing(w.images))
+            images.append(img)
+        return _over_kinds(num, images)
     return s.weight_pairing(w.images)
+
+
+# ---------------------------------------------------------------------------
+# atoms: the irreducible factors of the package's denominators
+# ---------------------------------------------------------------------------
+
+# Reductions of fractions since the last reset: by trial division over the
+# atoms of a denominator, and by the PRS gcd where the atoms are unknown.
+REDUCTIONS = {"atoms": 0, "prs": 0}
+
+_ATOMS = {}     # atom name -> the monic (KScalar: also shifted) atom
+_KINDS = {}     # (scalar type, term items) -> _atom of that scalar
+_IMAGES = {}    # (Weyl element, atom name) -> _atom of the atom's image
+_PRODUCTS = {}  # sorted tuple of atom names -> their product
+
+
+def _atom(s):
+    """(name, c, m, 1/c, -m) when s = c x^m times the atom ``name``, with
+    name None when s is a unit c x^m and m None for no shift (always in
+    CohScalar); False when s is neither a unit nor an atom."""
+    terms = s.terms
+    if len(terms) > s.rank + 2:  # more terms than a linear form has
+        return False
+    key = (type(s), tuple(terms.items()))
+    kind = _KINDS.get(key)
+    if kind is None:
+        kind = _KINDS[key] = _classify(s)
+    return kind
+
+
+def _classify(s):
+    terms, m = s.terms, None
+    if isinstance(s, KScalar):
+        if len(terms) == 1:
+            (m, c), = terms.items()
+            m = m if any(m) else None
+            return None, c, m, _coeff(1 / Fraction(c)), None if m is None else tuple(map(neg, m))
+        if len(terms) != 2:
+            return False
+        k1, k2 = terms
+        dy = k1[-1] - k2[-1]
+        if dy not in (1, -1) and (dy or int_gcd(*map(sub, k1[:-1], k2[:-1])) != 1):
+            return False
+        m = _min_exps(terms)
+        if any(m):
+            terms = _p_shift(terms, tuple(map(neg, m)))
+        else:
+            m = None
+        lead = max(terms)
+    else:
+        degree = max(map(sum, terms))
+        if degree == 0:
+            c = terms[next(iter(terms))]
+            return None, c, None, _coeff(1 / Fraction(c)), None
+        if degree != 1:
+            return False
+        lead = max(terms, key=CohScalar._order_key)
+    c = terms[lead]
+    inv = _coeff(1 / Fraction(c))
+    if c != 1:
+        terms = {k: _coeff(v * inv) for k, v in terms.items()}
+    name = "%s %s" % (type(s).__name__[0], " ".join(
+        "%s:%s" % (",".join(map(str, k)), _frac_str(v)) for k, v in sorted(terms.items())))
+    if name not in _ATOMS:
+        _ATOMS[name] = type(s)(s.rank, terms)
+    return name, c, m, inv, None if m is None else tuple(map(neg, m))
+
+
+def _atom_kinds(factors):
+    """_atom of each of ``factors``, which must each be a unit times an atom."""
+    kinds = [_atom(p) for p in factors]
+    for p, kind in zip(factors, kinds):
+        if not kind or kind[0] is None:
+            raise ValueError("%r is not an atom" % (p,))
+    return kinds
+
+
+def atom_names(factors):
+    """The sorted names of the atoms of ``factors``, scalars that are each a
+    unit times an atom."""
+    return tuple(sorted(kind[0] for kind in _atom_kinds(factors)))
+
+
+def factor_over(s, names):
+    """The sorted names, drawn from the atoms ``names``, of the atoms whose
+    product is s up to a unit; None when s is no such product."""
+    found = []
+    for name in _distinct(names):
+        atom = _ATOMS[name]
+        ok, q = divides_exactly(atom, s)
+        while ok:
+            s, found = q, found + [name]
+            ok, q = divides_exactly(atom, s)
+    kind = _atom(s)
+    return tuple(sorted(found)) if kind and kind[0] is None else None
+
+
+def _scaled(num, c, m=None):
+    """num * c x^m."""
+    terms = num.terms
+    if m is not None:
+        terms = _p_shift(terms, m)
+    if c != 1:
+        terms = _p_scale(terms, c)
+    return num if terms is num.terms else type(num)(num.rank, terms)
+
+
+def _product(names):
+    den = _PRODUCTS.get(names)
+    if den is None:
+        last = _ATOMS[names[-1]]
+        den = _PRODUCTS[names] = _product(names[:-1]) * last if len(names) > 1 else last
+    return den
+
+
+def _over_kinds(num, kinds):
+    """num over the product of ``kinds``, results of _atom that each are a
+    unit times an atom: the units go into the numerator."""
+    c, m = 1, None
+    for kind in kinds:
+        c = c * kind[3]
+        if kind[4] is not None:
+            m = kind[4] if m is None else tuple(map(add, m, kind[4]))
+    return _over(_scaled(num, c, m), tuple(sorted(kind[0] for kind in kinds)))
+
+
+def _over(num, names):
+    """num over the product of the atoms ``names``, as it stands."""
+    if not names:
+        return ScalarFraction(num, type(num).one(num.rank), ())
+    return ScalarFraction(num, _product(names), names)
+
+
+def _without(names, name):
+    i = names.index(name)
+    return names[:i] + names[i + 1:]
+
+
+def _cancel(num, names, cands):
+    """(num, names) after dividing num by each atom of ``cands`` as often as
+    it divides, at most as often as it occurs in ``names``."""
+    for name in cands:
+        atom = _ATOMS[name]
+        while name in names:
+            ok, q = divides_exactly(atom, num)
+            if not ok:
+                break
+            num, names = q, _without(names, name)
+    return num, names
+
+
+def _reduced(num, names, cands, den=None):
+    """The reduced fraction num / prod(names), where only the atoms in
+    ``cands`` (distinct, sorted) can divide num.  Atoms are irreducible and
+    pairwise prime, so trial division by them leaves the reduced form."""
+    REDUCTIONS["atoms"] += 1
+    num, rest = _cancel(num, names, cands)
+    if rest is names:
+        return ScalarFraction(num, den or _product(names), names)
+    return _over(num, rest)
+
+
+def _distinct(names):
+    return tuple(dict.fromkeys(names))
+
+
+def _lcm(a, b):
+    """(lcm, a's cofactor, b's cofactor, same) for sorted atom tuples a and b:
+    the cofactors are what each lacks of the lcm, and ``same`` holds the
+    atoms that occur equally often in both, the only ones that can divide
+    the sum of the two numerators brought to the lcm."""
+    ca, cb, same = [], [], []
+    for x in _distinct(a + b):
+        d = a.count(x) - b.count(x)
+        if d > 0:
+            cb += [x] * d
+        elif d < 0:
+            ca += [x] * -d
+        else:
+            same.append(x)
+    ca = tuple(sorted(ca))
+    return tuple(sorted(a + ca)), ca, tuple(sorted(cb)), same
 
 
 # ---------------------------------------------------------------------------
@@ -638,39 +846,56 @@ class ScalarFraction:
     canonical monomial order (for KScalar also shifted so that each variable
     has minimum exponent zero in the denominator).  Denominator 1 means the
     value lies in the base ring.
+
+    ``atoms`` is the sorted tuple of the names of the atoms whose product is
+    the denominator: () for a polynomial, None where they are unknown.  It
+    takes no part in equality, hashing or text.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "atoms")
 
-    def __init__(self, num, den):
+    def __init__(self, num, den, atoms=None):
         self.num = num
         self.den = den
+        self.atoms = atoms
 
     @classmethod
-    def make(cls, num, den=None):
-        if den is None:
-            den = type(num).one(num.rank)
+    def make(cls, num, den=None, atoms=None):
+        """num/den reduced.  ``atoms``, when known, names the atoms whose
+        product is den up to a unit; the reduction then divides by them,
+        and otherwise it takes the PRS gcd."""
+        if den is None or den.is_one():
+            return cls(num, den or type(num).one(num.rank), ())
         if den.is_zero():
             raise ZeroDivisionError("fraction with zero denominator")
         if num.is_zero():
-            return cls(num, type(num).one(num.rank))
-        if not den.is_one():
-            # most quotients in the geometry are exact: one trial division
-            ok, q = divides_exactly(den, num)
-            if ok:
-                return cls(q, type(num).one(num.rank))
-            g = scalar_gcd(num, den, not_multiple=True)
-            if not g.is_one():
-                ok, num = divides_exactly(g, num)
-                ok2, den = divides_exactly(g, den)
-                if not (ok and ok2):
-                    raise ArithmeticError("gcd does not divide the fraction")
+            return cls(num, type(num).one(num.rank), ())
+        # most quotients in the geometry are exact: one trial division
+        ok, q = divides_exactly(den, num)
+        if ok:
+            return cls(q, type(num).one(num.rank), ())
+        if atoms is not None:
             num, den = _normalize_unit(num, den)
+            return _reduced(num, atoms, _distinct(atoms), den)
+        REDUCTIONS["prs"] += 1
+        g = scalar_gcd(num, den, not_multiple=True)
+        if not g.is_one():
+            ok, num = divides_exactly(g, num)
+            ok2, den = divides_exactly(g, den)
+            if not (ok and ok2):
+                raise ArithmeticError("gcd does not divide the fraction")
+        num, den = _normalize_unit(num, den)
         return cls(num, den)
 
     @classmethod
     def from_scalar(cls, s):
-        return cls(s, type(s).one(s.rank))
+        return cls(s, type(s).one(s.rank), ())
+
+    @classmethod
+    def over_atoms(cls, num, factors):
+        """num / prod(factors), for ``factors`` each a unit times an atom and
+        none of them dividing num, so that no reduction is needed."""
+        return _over_kinds(num, _atom_kinds(factors))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -690,32 +915,72 @@ class ScalarFraction:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        other = self._co(other)
-        if self.den == other.den:
-            return ScalarFraction.make(self.num + other.num, self.den)
-        return ScalarFraction.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return self._sum(self._co(other), _ScalarBase.__add__)
 
     def __sub__(self, other):
-        other = self._co(other)
-        if self.den == other.den:
-            return ScalarFraction.make(self.num - other.num, self.den)
-        return ScalarFraction.make(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self._sum(self._co(other), _ScalarBase.__sub__)
+
+    def _sum(self, other, op):
+        a, b = self.atoms, other.atoms
+        if a is None or b is None:
+            if self.den == other.den:
+                return ScalarFraction.make(op(self.num, other.num), self.den)
+            return ScalarFraction.make(
+                op(self.num * other.den, other.num * self.den), self.den * other.den
+            )
+        if a == b:
+            num = op(self.num, other.num)
+            if not a:
+                return ScalarFraction(num, self.den, ())
+            if not num:
+                return ScalarFraction.from_scalar(num)
+            return _reduced(num, a, _distinct(a), self.den)
+        # a polynomial term shares no factor with the other denominator
+        if not b:
+            return ScalarFraction(op(self.num, other.num * self.den), self.den, a)
+        if not a:
+            return ScalarFraction(op(self.num * other.den, other.num), other.den, b)
+        names, ca, cb, same = _lcm(a, b)
+        num = op(self.num * _product(ca) if ca else self.num,
+                 other.num * _product(cb) if cb else other.num)
+        if not num:
+            return ScalarFraction.from_scalar(num)
+        if not same:
+            return ScalarFraction(num, _product(names), names)
+        return _reduced(num, names, same)
 
     def __neg__(self):
-        return ScalarFraction(-self.num, self.den)
+        return ScalarFraction(-self.num, self.den, self.atoms)
 
     def __mul__(self, other):
         other = self._co(other)
-        return ScalarFraction.make(self.num * other.num, self.den * other.den)
+        a, b = self.atoms, other.atoms
+        if b == ():
+            return self.mul_scalar(other.num)
+        if a == ():
+            return other.mul_scalar(self.num)
+        num = self.num * other.num
+        if a is None or b is None:
+            return ScalarFraction.make(num, self.den * other.den)
+        names = tuple(sorted(a + b))
+        den = _product(names)
+        ok, q = divides_exactly(den, num)
+        if ok:
+            return ScalarFraction(q, type(q).one(q.rank), ())
+        # each numerator is prime to its own denominator
+        REDUCTIONS["atoms"] += 1
+        n1, rest = _cancel(self.num, names, [x for x in _distinct(b) if x not in a])
+        n2, rest = _cancel(other.num, rest, [x for x in _distinct(a) if x not in b])
+        if rest is names:
+            return ScalarFraction(num, den, names)
+        return _over(n1 * n2, rest)
 
     def __truediv__(self, other):
         other = self._co(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero fraction")
+        if other.atoms == ():
+            return self.div_scalar(other.num)
         return ScalarFraction.make(self.num * other.den, self.den * other.num)
 
     def _co(self, other):
@@ -728,12 +993,31 @@ class ScalarFraction:
         raise TypeError("cannot coerce %r" % (other,))
 
     def mul_scalar(self, s):
-        """Multiply by a ring scalar; skips reduction for polynomial values."""
+        """Multiply by a ring scalar; skips reduction for polynomial values,
+        and for a unit or an atom."""
         if self.num.is_zero() or s.is_one():
             return self
-        if self.den.is_one():
-            return ScalarFraction(self.num * s, self.den)
-        return ScalarFraction.make(self.num * s, self.den)
+        a = self.atoms
+        if a == ():
+            return ScalarFraction(self.num * s, self.den, ())
+        if s.is_zero():
+            return ScalarFraction.from_scalar(s)
+        if a is None:
+            return ScalarFraction.make(self.num * s, self.den)
+        kind = _atom(s)
+        if kind:
+            if kind[0] is None or kind[0] not in a:
+                return ScalarFraction(self.num * s, self.den, a)
+            return _over(_scaled(self.num, kind[1], kind[2]), _without(a, kind[0]))
+        num = self.num * s
+        ok, q = divides_exactly(self.den, num)
+        if ok:
+            return ScalarFraction(q, type(q).one(q.rank), ())
+        REDUCTIONS["atoms"] += 1
+        s, rest = _cancel(s, a, _distinct(a))
+        if rest is a:
+            return ScalarFraction(num, self.den, a)
+        return _over(self.num * s, rest)
 
     def div_scalar(self, s):
         """Divide by a ring scalar, trying exact division first."""
@@ -741,11 +1025,16 @@ class ScalarFraction:
             raise ZeroDivisionError("division by the zero scalar")
         if self.num.is_zero() or s.is_one():
             return self
-        if self.den.is_one():
-            ok, q = divides_exactly(s, self.num)
-            if ok:
-                return ScalarFraction(q, type(q).one(q.rank))
-        return ScalarFraction.make(self.num, self.den * s)
+        a = self.atoms
+        if a is None:
+            return ScalarFraction.make(self.num, self.den * s)
+        ok, q = divides_exactly(s, self.num)  # always, when s is a unit
+        if ok:
+            return ScalarFraction(q, self.den, a)
+        kind = _atom(s)
+        if not kind:
+            return ScalarFraction.make(self.num, self.den * s)
+        return _over(_scaled(self.num, kind[3], kind[4]), tuple(sorted(a + (kind[0],))))
 
     def __repr__(self):
         return "Frac(%s)" % render_fraction(self)

@@ -315,14 +315,15 @@ def test_smc_matches_dual_basis_solve(label, par):
 
 # the left operators' Schubert coordinates against the triangular peel of the
 # localized tables: on G/B the tables are built with right operators, so this
-# checks the paper's generation theorem by the left ones
+# checks the paper's generation theorem by the left ones; sm coordinates are
+# fractions, walked from S_e / c(T)|_e
 @pytest.mark.parametrize("label,parabolic", [
     ("A2", ()), ("B2", ()), ("G2", ()), ("A3", ()),
     ("A3", (1, 3)), ("A3", (2,)), ("A3", (1, 2)), ("C3", (2, 3)),
 ])
 def test_left_operator_coordinates_equal_the_peel(label, parabolic):
     space = flag_space(label, parabolic)
-    for family in ("csm", "mc"):
+    for family in ("csm", "sm", "mc"):
         for side in ("B", "Bminus"):
             table = cell_family(space, family, side).table
             exps = family_expansions(space, family, side)

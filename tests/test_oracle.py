@@ -32,9 +32,7 @@ def _pair(space, families, fmt):
 
 
 def _jobs():
-    # JSON smc on B2 and A3/{1,3} takes 5 to 12 s per export, nearly all of
-    # it in the Schubert expansion (model.expand_schubert), which only JSON
-    # carries; their CSV exports take a tenth of a second
+    # smc JSON on B2 and A3/{1,3} is appended below, so these keep their seeds
     for space in ("A1", "A2", "B2", "A3/1,3"):
         for family in FAMILIES:
             if family != "smc" or space in ("A1", "A2"):
@@ -60,6 +58,12 @@ def _jobs():
     yield _classes("B3", "csm")
     yield _classes("G2", "mc")
     yield _classes("A3", "mc", side="Bminus")
+    # Segre-MacPherson expansions by the same walk, and smc expansions by
+    # the peel over fractions that know their denominators' atoms
+    yield _classes("G2", "sm")
+    yield _classes("A3/1,3", "sm", side="Bminus")
+    yield _classes("B2", "smc")
+    yield _classes("A3/1,3", "smc")
 
 
 JOBS = list(_jobs())

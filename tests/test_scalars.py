@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkmflag import scalars
 from gkmflag.roots import build_root_system
 from gkmflag.scalars import (
     CohScalar,
@@ -452,3 +453,195 @@ def test_make_gives_the_canonical_reduced_form(maker):
         assert _is_canonical(g)
         assert g == ScalarFraction.make(p.scale(c), q)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# fractions over atoms against the PRS path
+# ---------------------------------------------------------------------------
+
+ATOM_TYPES = ("A2", "B2", "G2", "A3")
+
+
+def _atom_pool(rs, theory):
+    """Atoms of every root, positive and negative: beta, 1 + beta,
+    1 - beta, hbar + beta in H, and 1 - e^beta, 1 + y e^beta, y + e^beta in K."""
+    rank = rs.rank
+    pool = []
+    for b in rs.positive_roots:
+        for v in (b, tuple(-c for c in b)):
+            if theory == "H":
+                one, lf = CohScalar.one(rank), CohScalar.linear_form(v)
+                pool += [lf, one + lf, one - lf, CohScalar.hbar(rank) + lf]
+            else:
+                one, y, e = KScalar.one(rank), KScalar.y(rank), KScalar.character(v)
+                pool += [one - e, one + y * e, y + e]
+    return pool
+
+
+def _cofactor(rng, theory, rank):
+    t = {}
+    for _ in range(rng.randrange(1, 4)):
+        if theory == "H":
+            k = tuple(rng.randrange(0, 2) for _ in range(rank + 1))
+        else:
+            k = tuple(rng.randrange(-1, 2) for _ in range(rank)) + (rng.randrange(0, 2),)
+        t[k] = t.get(k, 0) + rng.choice([-2, -1, 1, 3, Fraction(1, 2)])
+    s = (CohScalar if theory == "H" else KScalar).from_terms(rank, t)
+    return s if s else (CohScalar if theory == "H" else KScalar).one(rank)
+
+
+def _unit(rng, theory, rank):
+    """A random constant in H, a random c x^m in K."""
+    c = rng.choice([-1, 2, Fraction(-1, 3)])
+    if theory == "H":
+        return CohScalar.from_rational(c, rank)
+    return KScalar.character(tuple(rng.randrange(-1, 2) for _ in range(rank))).scale(c)
+
+
+def _product(factors, one):
+    out = one
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _atom_fraction(rng, pool, theory, rank):
+    """(fraction made over its atoms, expanded numerator, expanded denominator):
+    a random cofactor times random atoms over random atoms times a unit, so
+    that some atoms cancel."""
+    den_f = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
+    num_f = [rng.choice(pool + den_f) for _ in range(rng.randrange(0, 3))]
+    num = _product(num_f, _cofactor(rng, theory, rank))
+    den = _product(den_f, _unit(rng, theory, rank))
+    return ScalarFraction.make(num, den, scalars.atom_names(den_f)), num, den
+
+
+def _holds_atoms(f):
+    """The fraction knows its atoms, and their product is its denominator."""
+    if f.atoms is None:
+        return False
+    return f.den == _product([scalars._ATOMS[a] for a in f.atoms], type(f.num).one(f.num.rank))
+
+
+def _differential_cases(label, theory, count, seed):
+    """(result over atoms, expected numerator, expected denominator) for
+    random sums, differences, products, scalar products and quotients, and
+    Weyl images of fractions over atoms."""
+    rng = random.Random(seed)
+    rs = build_root_system(label)
+    rank = rs.rank
+    pool = _atom_pool(rs, theory)
+    els = rs.weyl_elements()
+    for _ in range(count):
+        f, fn, fd = _atom_fraction(rng, pool, theory, rank)
+        g, gn, gd = _atom_fraction(rng, pool, theory, rank)
+        yield f, fn, fd
+        yield f + g, fn * gd + gn * fd, fd * gd
+        yield f - g, fn * gd - gn * fd, fd * gd
+        yield f - f, fn.zero(rank), fd
+        yield f * g, fn * gn, fd * gd
+        s = rng.choice(pool + [_cofactor(rng, theory, rank)])
+        yield f.mul_scalar(s), fn * s, fd
+        s = rng.choice(pool + [_unit(rng, theory, rank)])
+        yield f.div_scalar(s), fn, fd * s
+        w = rng.choice(els)
+        yield weyl_act_scalar(w, f), weyl_act_scalar(w, fn), weyl_act_scalar(w, fd)
+
+
+@pytest.mark.parametrize("theory", ["H", "K"])
+@pytest.mark.parametrize("label", ATOM_TYPES)
+def test_atom_arithmetic_matches_the_gcd_path(label, theory):
+    cases = list(_differential_cases(label, theory, 12, 19))
+    before = dict(scalars.REDUCTIONS)
+    for got, num, den in cases:
+        assert _holds_atoms(got)
+        assert got == ScalarFraction.make(num, den)
+    # the expected values took the gcd, and the results never did
+    assert scalars.REDUCTIONS["prs"] > before["prs"]
+
+
+def test_atom_arithmetic_never_takes_the_gcd():
+    before = dict(scalars.REDUCTIONS)
+    results = [got for got, _, _ in _differential_cases("B2", "K", 12, 23)]
+    assert scalars.REDUCTIONS["prs"] == before["prs"]
+    assert scalars.REDUCTIONS["atoms"] > before["atoms"]
+    assert all(_holds_atoms(f) for f in results)
+
+
+def _sympy_expr(s, sympy, gens):
+    return sympy.Add(*[
+        sympy.Mul(sympy.Rational(c.numerator, c.denominator), *[g ** e for g, e in zip(gens, k)])
+        for k, c in s.terms.items()
+    ])
+
+
+@pytest.mark.parametrize("theory", ["H", "K"])
+def test_atom_arithmetic_matches_sympy_cancel(theory):
+    sympy = pytest.importorskip("sympy")
+    for label in ATOM_TYPES:
+        rank = build_root_system(label).rank
+        gens = sympy.symbols(" ".join("x%d" % j for j in range(rank + 1)))
+        for got, num, den in _differential_cases(label, theory, 1, 29):
+            gn, gd, n, d = (_sympy_expr(x, sympy, gens) for x in (got.num, got.den, num, den))
+            assert sympy.expand(gn * d - n * gd) == 0
+            # reduced: cancelling leaves the denominator as it is, up to a unit c x^m
+            a, b = sympy.fraction(sympy.cancel(gd / sympy.fraction(sympy.cancel(gn / gd))[1]))
+            assert len(sympy.Add.make_args(sympy.expand(a))) == 1
+            assert len(sympy.Add.make_args(sympy.expand(b))) == 1
+
+
+def test_atom_test_needs_no_root_system():
+    one, y, x = KScalar.one(2), KScalar.y(2), KScalar.character
+    # in K a binomial is an atom when its y-degrees differ by one, or when
+    # they agree and its lattice exponents differ by a primitive vector
+    for s in (one - x((1, 1)), one + y * x((2, 1)), y + x((0, -1)), one + y, x((1, 0)) - x((0, 1))):
+        assert len(scalars.atom_names([s])) == 1
+    for s in (one - x((2, 0)), one - y * y, one - x((2, 2)), one + x((1, 0)) + y, y * x((1, 0))):
+        with pytest.raises(ValueError):
+            scalars.atom_names([s])
+    a1, a2 = CohScalar.linear_form((1, 0)), CohScalar.linear_form((0, 1))
+    for s in (a1, a1 + a2 + CohScalar.one(2), CohScalar.hbar(2) - a2):
+        assert len(scalars.atom_names([s])) == 1
+    for s in (a1 * a2, CohScalar.one(2).scale(3), a1 * a1 + a2):
+        with pytest.raises(ValueError):
+            scalars.atom_names([s])
+    # associates share one name, in either ring, whatever the term order
+    assert scalars.atom_names([a1 + a2]) == scalars.atom_names([(a2 + a1).scale(-2)])
+    assert scalars.atom_names([one - x((1, 0))]) == scalars.atom_names([x((-1, 0)) - one])
+    assert scalars.atom_names([y + x((1, 0)), one - x((0, 1))]) == tuple(sorted(
+        scalars.atom_names([f])[0] for f in (one - x((0, 1)), y + x((1, 0)))))
+    # factoring over given atoms, up to a unit
+    pool = scalars.atom_names([one - x((1, 0)), y + x((1, 0)), one + y * x((0, 1))])
+    s = (one - x((1, 0))) * (one - x((-1, 0))) * (y + x((1, 0))) * x((2, 1)).scale(3)
+    assert scalars.factor_over(s, pool) == scalars.atom_names(
+        [one - x((1, 0)), one - x((1, 0)), y + x((1, 0))])
+    assert scalars.factor_over(s * (one + x((1, 0))), pool) is None
+
+
+# gcd-free reductions of the identity suites, pinned: a change that takes a
+# suite's fractions back to the PRS gcd shows here
+REDUCTION_PINS = {
+    ("csm", "A2"): {"atoms": 262, "prs": 0},
+    ("csm", "B2"): {"atoms": 498, "prs": 0},
+    ("csm", "G2"): {"atoms": 1198, "prs": 0},
+    ("csm", "A3/1,2"): {"atoms": 107, "prs": 0},
+    ("motivic", "A2"): {"atoms": 242, "prs": 0},
+}
+
+
+@pytest.mark.parametrize("suite,space", sorted(REDUCTION_PINS))
+def test_identity_suites_reduce_over_atoms(suite, space):
+    label, _, par = space.partition("/")
+    argv = ["verify", "--type", label[0], "--rank", label[1:], "--suite", suite]
+    if par:
+        argv += ["--parabolic", par]
+    code = ("import contextlib, io, json, sys\n"
+            "from gkmflag import cli, scalars\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(%r)\n"
+            "print(json.dumps([rc, scalars.REDUCTIONS]))\n" % (argv,))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [0, REDUCTION_PINS[suite, space]]
