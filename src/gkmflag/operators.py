@@ -67,6 +67,18 @@ b - s(b) = (1 - t)(delta(b) - s(b)),
 ``leibniz_rhs`` states this once, for any product: classes, quantum
 classes through a structure table, and formal products.
 
+Shared images in ``verify_relations``: most identities of the operator
+suite start from a single-letter image op(i, b) of a B or Bminus Schubert
+class b, and the suite computes each such image once, in a table that lives
+for one suite.  Its key is the operator callable fixed at suite start (plain
+and dual are different callables), the letter and the basis element (fixed
+point and side).  It is not keyed by class values: such a key would hash
+whole classes and keep every image alive, intermediate ones too, while the
+basis keys bound the table by operators x letters x basis elements.  The
+Leibniz rules form each product b c, and each op(i, b c), once per
+unordered pair.  A shared image is the same pure operator applied to the
+same class, so every identity still computes both of its sides.
+
 Divided differences on Schubert classes: d_i S_w = +-S_t when the step
 enters a new cell t (s_i w on the left, w s_i on the right) in the
 direction the side grows, and otherwise 0 in H and S_w in K; the sign is -1
@@ -429,20 +441,54 @@ def verify_relations(space, theory, corrupt=False):
 
     ``corrupt`` flips a sign inside one quadratic-relation evaluation and is
     only used to self-test that failures produce witnesses.
+
+    Identities that start from the same single-letter image op(i, b) of a
+    Schubert class read it from one table (see ``image`` and the module
+    docstring); each identity still computes both of its sides with the
+    operators.
     """
     rs = space.rs
     rep = VerificationReport("operators:%s" % theory, _space_label(space))
     basis = space.schubert_basis(theory, "B")
     obasis = space.schubert_basis(theory, "Bminus")
+    tables = {"B": basis, "Bminus": obasis}
     points = space.points
     idx = range(1, rs.rank + 1)
     is_full = space.is_full_flag
     rank = rs.rank
     one = KScalar.one(rank) if theory == K else CohScalar.one(rank)
 
-    def quad_defect(op, i, b):
+    # The operators, looked up once: each callable op(i, a) below is one key
+    # of the image table, so plain and dual operators never share an entry.
+    tl, tl_dual = partial(dl_left, dual=False), partial(dl_left, dual=True)
+    tr, tr_dual = partial(dl_right, dual=False), partial(dl_right, dual=True)
+    dleft = bgg_left if theory == H else demazure_left
+    dleft_dual = partial(demazure_left, dual=True)
+    dright = bgg_right if theory == H else demazure_right
+
+    def sl(i, a):
+        return weyl_left(rs.simple(i), a)
+
+    images = {}
+
+    def image(op, i, w, side="B"):
+        # op(i, b) for the Schubert class b of ``side`` at w, once per suite;
+        # i is a letter, or the Weyl element w0 for ``weyl_left``
+        key = (op, i, w, side)
+        out = images.get(key)
+        if out is None:
+            out = images[key] = op(i, tables[side][w])
+        return out
+
+    def word_image(op, word, w):
+        # op_{i1} ... op_{im} on basis[w]; the rightmost letter from the table
+        if not word:
+            return basis[w]
+        return apply_word(op, word[:-1], image(op, word[-1], w))
+
+    def quad_defect(op, i, w):
         # (T^2 - id) b in H; (T + 1)(T + y) b in K
-        tb = op(i, b)
+        b, tb = basis[w], image(op, i, w)
         if theory == H:
             d = op(i, tb) - b
         else:
@@ -450,53 +496,47 @@ def verify_relations(space, theory, corrupt=False):
             d = op(i, tb) + tb.scale(one + y) + b.scale(y)
         return d + b.scale(2) if corrupt else d
 
-    sides = [
-        ("T^%s%s" % (side, ",dual" if dual else ""), partial(fn, dual=dual))
-        for side, fn in [("L", dl_left)] + ([("R", dl_right)] if is_full else [])
-        for dual in (False, True)
-    ]
+    sides = [("T^L", tl), ("T^L,dual", tl_dual)]
+    if is_full:
+        sides += [("T^R", tr), ("T^R,dual", tr_dual)]
 
     # quadratic relations
     zero = LocalizedClass.zero(space, theory)
     for name, op in sides:
         rep.check("quadratic " + name,
-                  _each_iw(space, lambda i, w: (quad_defect(op, i, basis[w]), zero)))
+                  _each_iw(space, lambda i, w: (quad_defect(op, i, w), zero)))
 
     # braid relations
     for name, op in sides:
         rep.check("braid " + name, (
-            ("(%d,%d) w=%s" % (i, j, word_str(w.word)), apply_word(op, wi, b), apply_word(op, wj, b))
+            ("(%d,%d) w=%s" % (i, j, word_str(w.word)), word_image(op, wi, w), word_image(op, wj, w))
             for i, j, wi, wj in braid_words(rs)
-            for w, b in basis.items()
+            for w in basis
         ))
 
     # divided-difference squares and left/right commutation
-    dleft = bgg_left if theory == H else demazure_left
-
     def square(op):
         # d_i^2 = 0 in H, d_i^2 = d_i in K
-        return lambda i, w: (
-            op(i, op(i, basis[w])),
-            zero if theory == H else op(i, basis[w]),
-        )
+        def case(i, w):
+            db = image(op, i, w)
+            return op(i, db), zero if theory == H else db
+        return case
     rep.check("delta_i square", _each_iw(space, square(dleft)))
     if is_full:
-        dright = bgg_right if theory == H else demazure_right
         rep.check("partial_i square", _each_iw(space, square(dright)))
 
-        def commute(ops):
-            # ops(i, j) = (left operator, right operator), applied both ways
+        def commute(lop, rop, swap=False):
+            # lop at letter i and rop at letter j (swapped: rop at i, lop at
+            # j), applied in both orders
             for i in idx:
                 for j in idx:
-                    lop, rop = ops(i, j)
-                    for w, b in basis.items():
-                        yield ("i=%d j=%d w=%s" % (i, j, word_str(w.word)), lop(rop(b)), rop(lop(b)))
-        rep.check("delta_i partial_j commute",
-                  commute(lambda i, j: (partial(dleft, i), partial(dright, j))))
-        rep.check("s_j^L and T_i^R commute",
-                  commute(lambda i, j: (partial(weyl_left, rs.simple(j)), partial(dl_right, i))))
-        rep.check("T_j^L and T_i^R commute",
-                  commute(lambda i, j: (partial(dl_left, j), partial(dl_right, i))))
+                    li, ri = (j, i) if swap else (i, j)
+                    for w in basis:
+                        yield ("i=%d j=%d w=%s" % (i, j, word_str(w.word)),
+                               lop(li, image(rop, ri, w)), rop(ri, image(lop, li, w)))
+        rep.check("delta_i partial_j commute", commute(dleft, dright))
+        rep.check("s_j^L and T_i^R commute", commute(sl, tr, swap=True))
+        rep.check("T_j^L and T_i^R commute", commute(tl, tr, swap=True))
 
     # Adjointness.  The right identity is base-ring bilinear, so checking it
     # against the full fixed-point basis proves it for every class; it is
@@ -508,9 +548,9 @@ def verify_relations(space, theory, corrupt=False):
     if is_full:
         def gen_radj():
             for i in idx:
-                duals = {v: dl_right(i, fps[v], dual=True) for v in points}
+                duals = {v: tr_dual(i, fps[v]) for v in points}
                 for w, b in basis.items():
-                    tb = dl_right(i, b)
+                    tb = image(tr, i, w)
                     for v in points:
                         lhs = tb.values[v]
                         rhs = pair(b, duals[v])
@@ -519,9 +559,9 @@ def verify_relations(space, theory, corrupt=False):
 
         def gen_radj2():
             for i in idx:
-                duals = {u: dl_right(i, c, dual=True) for u, c in obasis.items()}
+                duals = {u: image(tr_dual, i, u, "Bminus") for u in obasis}
                 for w, b in basis.items():
-                    tb = dl_right(i, b)
+                    tb = image(tr, i, w)
                     for u, c in obasis.items():
                         yield (
                             "i=%d w=%s u=%s" % (i, word_str(w.word), word_str(u.word)),
@@ -533,9 +573,9 @@ def verify_relations(space, theory, corrupt=False):
     def gen_ladj():
         for i in idx:
             si = rs.simple(i)
-            duals = {u: dl_left(i, c, dual=True) for u, c in obasis.items()}
+            duals = {u: image(tl_dual, i, u, "Bminus") for u in obasis}
             for w, b in basis.items():
-                tb = dl_left(i, b)
+                tb = image(tl, i, w)
                 for u, c in obasis.items():
                     yield (
                         "i=%d w=%s u=%s" % (i, word_str(w.word), word_str(u.word)),
@@ -550,7 +590,7 @@ def verify_relations(space, theory, corrupt=False):
             si = rs.simple(i)
             acted = {v: weyl_left(si, fps[v]) for v in points}
             for w, b in basis.items():
-                wb = weyl_left(si, b)
+                wb = image(sl, i, w)
                 for v in points:
                     lhs = pair(wb, acted[v])
                     rhs = weyl_act_scalar(si, pair(b, fps[v]))
@@ -568,63 +608,70 @@ def verify_relations(space, theory, corrupt=False):
 
     def gen_w0():
         for i in idx:
-            for w, b in basis.items():
-                lhs = weyl_left(w0, dl_left(i, weyl_left(w0, b)))
-                rhs = dl_left(star[i], b, dual=True)
+            for w in basis:
+                lhs = weyl_left(w0, tl(i, image(weyl_left, w0, w)))
+                rhs = image(tl_dual, star[i], w)
                 yield ("TL i=%d w=%s" % (i, word_str(w.word)), lhs, rhs)
+                lhs2 = weyl_left(w0, dleft(i, image(weyl_left, w0, w)))
                 if theory == K:
-                    lhs2 = weyl_left(w0, demazure_left(i, weyl_left(w0, b)))
-                    rhs2 = demazure_left(star[i], b, dual=True)
+                    rhs2 = image(dleft_dual, star[i], w)
                 else:
-                    lhs2 = weyl_left(w0, bgg_left(i, weyl_left(w0, b)))
-                    rhs2 = -bgg_left(star[i], b)
+                    rhs2 = -image(dleft, star[i], w)
                 yield ("delta i=%d w=%s" % (i, word_str(w.word)), lhs2, rhs2)
     rep.check("w0 conjugation swaps duals", gen_w0())
 
-    # Leibniz rules on Schubert-basis pairs
+    # Leibniz rules on Schubert-basis pairs.  The product b c and each
+    # left-hand side op(i, b c) are formed once per unordered pair, exact
+    # since b c = c b; the tables go when the Leibniz identities end.
     pairs_src = list(basis.items())
     if len(points) > 12:
         small = [(w, b) for w, b in pairs_src if w.length <= 1] + [pairs_src[-1]]
     else:
         small = pairs_src
+    products = {}
 
-    def gen_leibniz():
+    def leibniz_cases(op, rhs):
+        # (label, op(i, b c), rhs(i, w, u, c)) over i and the pairs (w, b), (u, c)
         for i in idx:
-            si = rs.simple(i)
-            t = None if theory == H else KScalar.character(rs.simple_root(i))
-            d = {w: dleft(i, b) for w, b in pairs_src}
-            s = {w: weyl_left(si, b) for w, b in pairs_src}
+            lhs = {}
             for w, b in pairs_src:
                 for u, c in small:
+                    key = frozenset((w, u))
+                    if key not in lhs:
+                        if key not in products:
+                            products[key] = b * c
+                        lhs[key] = op(i, products[key])
                     yield ("i=%d (%s,%s)" % (i, word_str(w.word), word_str(u.word)),
-                           dleft(i, b * c), leibniz_rhs(operator.mul, d[w], c, s[w], d[u], s[u], t))
-    rep.check("delta Leibniz rule", gen_leibniz())
+                           lhs[key], rhs(i, w, u, c))
+
+    ts = {i: None if theory == H else KScalar.character(rs.simple_root(i)) for i in idx}
+
+    def delta_rhs(i, w, u, c):
+        return leibniz_rhs(operator.mul, image(dleft, i, w), c, image(sl, i, w),
+                           image(dleft, i, u), image(sl, i, u), ts[i])
+    rep.check("delta Leibniz rule", leibniz_cases(dleft, delta_rhs))
 
     if theory == K:
-        def gen_dl_leibniz():
-            y = KScalar.y(rank)
-            for i in idx:
-                si = rs.simple(i)
-                for w, b in pairs_src:
-                    for u, c in small:
-                        lhs = dl_left(i, b * c)
-                        sb = weyl_left(si, b)
-                        rhs = dl_left(i, b) * c + sb * dl_left(i, c) + (sb * c).scale(y)
-                        yield ("i=%d (%s,%s)" % (i, word_str(w.word), word_str(u.word)), lhs, rhs)
-        rep.check("T^L Leibniz rule", gen_dl_leibniz())
+        y = KScalar.y(rank)
+
+        def dl_rhs(i, w, u, c):
+            sb = image(sl, i, w)
+            return image(tl, i, w) * c + sb * image(tl, i, u) + (sb * c).scale(y)
+        rep.check("T^L Leibniz rule", leibniz_cases(tl, dl_rhs))
+    products.clear()
 
     # reduced-word independence of the word operators
-    dl = dl_right if is_full else dl_left
-    seed = basis[points[0]]  # the point class
+    dl = tr if is_full else tl
+    seed = points[0]  # the point class
 
     def gen_words():
         elements = points if is_full else [x for x in points if x.length <= 4]
         for w in elements:
             words = all_reduced_words(w)
-            base = apply_word(dl, words[0], seed)
+            base = word_image(dl, words[0], seed)
             for wd in words[1:]:
                 yield ("w=%s word=%s" % (word_str(w.word), word_str(wd)),
-                       apply_word(dl, wd, seed), base)
+                       word_image(dl, wd, seed), base)
     rep.check("word operators independent of reduced word", gen_words())
 
     return rep

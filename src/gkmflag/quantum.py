@@ -684,27 +684,33 @@ def verify_quantum_relations(table):
     arity = len(table.qnodes)
     op = quantum_delta if theory == QH else quantum_demazure_dual
 
+    def qdeg(d):
+        return (d,) + (0,) * (arity - 1) if arity else ()
+    elements = {(w, d): QuantumClass.basis_element(space, theory, w, qdeg=qdeg(d))
+                for w in space.points for d in range(3)}
+    images = {}
+
+    def image(i, w, d):
+        # op(i, a) for the basis element a at (w, q^d), once per suite
+        if (i, w, d) not in images:
+            images[i, w, d] = op(i, elements[w, d])
+        return images[i, w, d]
+
     def gen_idem():
         for i in range(1, rs.rank + 1):
             for w in space.points:
                 for d in range(3):
-                    qd = (d,) + (0,) * (arity - 1) if arity else ()
-                    a = QuantumClass.basis_element(space, theory, w, qdeg=qd)
-                    dd = op(i, op(i, a))
-                    expect = (
-                        QuantumClass(space, theory, {})
-                        if theory == QH
-                        else op(i, a)
-                    )
-                    yield ("i=%d w=%s q=%s" % (i, word_str(w.word), qd), dd, expect)
+                    da = image(i, w, d)
+                    expect = QuantumClass(space, theory, {}) if theory == QH else da
+                    yield ("i=%d w=%s q=%s" % (i, word_str(w.word), qdeg(d)), op(i, da), expect)
     rep.check("quantum delta squares", gen_idem())
 
     def gen_braid():
-        qd = (1,) + (0,) * (arity - 1) if arity else ()
+        # the rightmost letter of each word acts on a q^1 basis element
         for i, j, wi, wj in braid_words(rs):
             for w in space.points:
-                a = QuantumClass.basis_element(space, theory, w, qdeg=qd)
                 yield ("(%d,%d) w=%s" % (i, j, word_str(w.word)),
-                       apply_word(op, wi, a), apply_word(op, wj, a))
+                       apply_word(op, wi[:-1], image(wi[-1], w, 1)),
+                       apply_word(op, wj[:-1], image(wj[-1], w, 1)))
     rep.check("quantum delta braid relations", gen_braid())
     return rep

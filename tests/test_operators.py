@@ -3,6 +3,7 @@ from functools import partial
 
 import pytest
 
+from gkmflag import operators as ops
 from gkmflag.model import (
     H,
     K,
@@ -343,6 +344,56 @@ def test_verify_relations_small_spaces():
     assert not rep.ok
     identity, witness = rep.failures()[0]
     assert "quadratic" in identity and witness
+    # the corrupt quadratic evaluation fails every quadratic identity at its
+    # first case, and nothing else
+    assert verify_relations(flag_space("A2"), K, corrupt=True).failures() == [
+        ("quadratic T^L", "i=1 w=e"),
+        ("quadratic T^L,dual", "i=1 w=e"),
+        ("quadratic T^R", "i=1 w=e"),
+        ("quadratic T^R,dual", "i=1 w=e"),
+    ]
+
+
+# Kernel applications (calls of ``_left`` and ``_right``) of one operator
+# suite.  Before the suite shared its single-letter images they were A2 744
+# and 984, B2 1092 and 1508, A3/{1,3} 553 and 895 (H and K).
+KERNEL_CALLS = {
+    ("A2", (), H): 468, ("A2", (), K): 522,
+    ("B2", (), H): 708, ("B2", (), K): 796,
+    ("A3", (1, 3), H): 357, ("A3", (1, 3), K): 438,
+}
+
+
+@pytest.mark.parametrize("label,par,theory", sorted(KERNEL_CALLS))
+def test_verify_relations_applies_each_letter_once(monkeypatch, label, par, theory):
+    # count the kernel applications, and key every operator application to
+    # a Schubert class by (operator, dual, letter, class): none may repeat
+    space = flag_space(label, par)
+    basis = {id(c) for side in ("B", "Bminus") for c in space.schubert_basis(theory, side).values()}
+    kernel_calls = [0]
+    seen = []
+
+    def counted(kernel):
+        def run(*args):
+            kernel_calls[0] += 1
+            return kernel(*args)
+        return run
+
+    def recorded(name, fn):
+        def run(i, a, **kw):
+            if id(a) in basis:
+                seen.append((name, kw.get("dual", False), i, id(a)))
+            return fn(i, a, **kw)
+        return run
+
+    for kernel in ("_left", "_right"):
+        monkeypatch.setattr(ops, kernel, counted(getattr(ops, kernel)))
+    for name in ("weyl_left", "bgg_left", "bgg_right", "demazure_left", "demazure_right",
+                 "dl_left", "dl_right"):
+        monkeypatch.setattr(ops, name, recorded(name, getattr(ops, name)))
+    assert ops.verify_relations(space, theory).ok
+    assert kernel_calls[0] == KERNEL_CALLS[label, par, theory]
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_verify_schubert_actions_small_spaces():

@@ -47,6 +47,18 @@ SCENARIOS = [
     (K, "demazure_left", 2, "dual"),
     (K, "demazure_left", 2, "off-e"),
     (K, "demazure_right", 2, "off-e"),
+    (H, "dl_left", 1, "all"),
+    (H, "dl_left", 2, "dual"),
+    (H, "dl_left", 1, "off-e"),
+    (H, "dl_right", 2, "all"),
+    (H, "dl_right", 1, "dual"),
+    (H, "dl_right", 2, "off-e"),
+    (K, "dl_left", 1, "all"),
+    (K, "dl_left", 2, "dual"),
+    (K, "dl_left", 1, "off-e"),
+    (K, "dl_right", 2, "all"),
+    (K, "dl_right", 1, "dual"),
+    (K, "dl_right", 2, "off-e"),
 ]
 
 
@@ -217,6 +229,115 @@ RECORDED = {
         ("left DL recursions on csm and sm cells (all four)", "i=2 w=e csm"),
         ("left DL on motivic cells, with (-y) fold factor", "i=2 w=e"),
         ("dual left DL on Segre motivic opposite cells", "i=2 w=e"),
+    ],
+    # the DL operators inside the operator suites, recorded before the suite
+    # shared single-letter images between its identities: a shared image
+    # that mixed up plain and dual operators, or two letters, fails here
+    ("A2", "H dl_left@1 all"): [
+        ("quadratic T^L", "i=1 w=e"),
+        ("quadratic T^L,dual", "i=1 w=e"),
+        ("braid T^L", "(1,2) w=e"),
+        ("braid T^L,dual", "(1,2) w=e"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2", "H dl_left@2 dual"): [
+        ("quadratic T^L,dual", "i=2 w=e"),
+        ("braid T^L,dual", "(1,2) w=e"),
+        ("adjoint left with s_i twist, schubert pairs", "i=2 w=e u=e"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2", "H dl_left@1 off-e"): [
+        ("adjoint left with s_i twist, schubert pairs", "i=1 w=e u=1"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2", "H dl_right@2 all"): [
+        ("quadratic T^R", "i=2 w=e"),
+        ("quadratic T^R,dual", "i=2 w=e"),
+        ("braid T^R", "(1,2) w=e"),
+        ("braid T^R,dual", "(1,2) w=e"),
+        ("word operators independent of reduced word", "w=1-2-1 word=2-1-2"),
+    ],
+    ("A2", "H dl_right@1 dual"): [
+        ("quadratic T^R,dual", "i=1 w=e"),
+        ("braid T^R,dual", "(1,2) w=e"),
+        ("adjoint right, fixed-point basis", "i=1 w=e v=e"),
+        ("adjoint right, schubert pairs", "i=1 w=e u=e"),
+    ],
+    ("A2", "H dl_right@2 off-e"): [
+        ("s_j^L and T_i^R commute", "i=2 j=1 w=e"),
+        ("adjoint right, fixed-point basis", "i=2 w=e v=2"),
+        ("adjoint right, schubert pairs", "i=2 w=e u=2"),
+    ],
+    ("A2", "K dl_left@1 all"): [
+        ("quadratic T^L", "i=1 w=e"),
+        ("quadratic T^L,dual", "i=1 w=e"),
+        ("braid T^L", "(1,2) w=e"),
+        ("braid T^L,dual", "(1,2) w=e"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+        ("T^L Leibniz rule", "i=1 (e,1)"),
+    ],
+    ("A2", "K dl_left@2 dual"): [
+        ("quadratic T^L,dual", "i=2 w=e"),
+        ("braid T^L,dual", "(1,2) w=e"),
+        ("adjoint left with s_i twist, schubert pairs", "i=2 w=e u=e"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2", "K dl_left@1 off-e"): [
+        ("adjoint left with s_i twist, schubert pairs", "i=1 w=e u=1"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2", "K dl_right@2 all"): [
+        ("quadratic T^R", "i=2 w=e"),
+        ("quadratic T^R,dual", "i=2 w=e"),
+        ("braid T^R", "(1,2) w=e"),
+        ("braid T^R,dual", "(1,2) w=e"),
+        ("word operators independent of reduced word", "w=1-2-1 word=2-1-2"),
+    ],
+    ("A2", "K dl_right@1 dual"): [
+        ("quadratic T^R,dual", "i=1 w=e"),
+        ("braid T^R,dual", "(1,2) w=e"),
+        ("adjoint right, fixed-point basis", "i=1 w=e v=e"),
+        ("adjoint right, schubert pairs", "i=1 w=e u=e"),
+    ],
+    ("A2", "K dl_right@2 off-e"): [
+        ("s_j^L and T_i^R commute", "i=2 j=1 w=e"),
+        ("adjoint right, fixed-point basis", "i=2 w=e v=2"),
+        ("adjoint right, schubert pairs", "i=2 w=e u=2"),
+    ],
+    ("A2/{1}", "H dl_left@1 all"): [
+        ("quadratic T^L", "i=1 w=e"),
+        ("quadratic T^L,dual", "i=1 w=e"),
+        ("braid T^L", "(1,2) w=e"),
+        ("braid T^L,dual", "(1,2) w=e"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2/{1}", "H dl_left@2 dual"): [
+        ("quadratic T^L,dual", "i=2 w=e"),
+        ("braid T^L,dual", "(1,2) w=e"),
+        ("adjoint left with s_i twist, schubert pairs", "i=2 w=e u=e"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2/{1}", "H dl_left@1 off-e"): [
+        ("adjoint left with s_i twist, schubert pairs", "i=1 w=2 u=2"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2/{1}", "K dl_left@1 all"): [
+        ("quadratic T^L", "i=1 w=e"),
+        ("quadratic T^L,dual", "i=1 w=e"),
+        ("braid T^L", "(1,2) w=e"),
+        ("braid T^L,dual", "(1,2) w=e"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+        ("T^L Leibniz rule", "i=1 (e,e)"),
+    ],
+    ("A2/{1}", "K dl_left@2 dual"): [
+        ("quadratic T^L,dual", "i=2 w=e"),
+        ("braid T^L,dual", "(1,2) w=e"),
+        ("adjoint left with s_i twist, schubert pairs", "i=2 w=e u=e"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
+    ],
+    ("A2/{1}", "K dl_left@1 off-e"): [
+        ("adjoint left with s_i twist, schubert pairs", "i=1 w=2 u=2"),
+        ("w0 conjugation swaps duals", "TL i=1 w=e"),
     ],
 }
 
